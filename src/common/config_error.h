@@ -3,6 +3,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ara {
 
@@ -17,6 +18,6 @@ class ConfigError : public std::runtime_error {
 };
 
 /// Throws ConfigError with `message` when `ok` is false.
-void config_check(bool ok, const std::string& message);
+void config_check(bool ok, std::string_view message);
 
 }  // namespace ara

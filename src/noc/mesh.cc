@@ -27,39 +27,38 @@ std::uint32_t Mesh::hops(NodeId src, NodeId dst) const {
   return static_cast<std::uint32_t>(std::llabs(dx) + std::llabs(dy));
 }
 
-std::vector<Mesh::Hop> Mesh::route(NodeId src, NodeId dst) const {
-  std::vector<Hop> hops;
+void Mesh::route(NodeId src, NodeId dst) {
+  route_.clear();
   std::uint32_t x = x_of(src), y = y_of(src);
   const std::uint32_t tx = x_of(dst), ty = y_of(dst);
   // X first, then Y (deterministic, deadlock-free dimension order).
   while (x != tx) {
     const Direction d = tx > x ? Direction::kEast : Direction::kWest;
-    hops.push_back({node_at(x, y), d});
+    route_.push_back({node_at(x, y), d});
     x = tx > x ? x + 1 : x - 1;
   }
   while (y != ty) {
     const Direction d = ty > y ? Direction::kSouth : Direction::kNorth;
-    hops.push_back({node_at(x, y), d});
+    route_.push_back({node_at(x, y), d});
     y = ty > y ? y + 1 : y - 1;
   }
-  hops.push_back({dst, Direction::kLocal});  // ejection
-  return hops;
+  route_.push_back({dst, Direction::kLocal});  // ejection
 }
 
 Tick Mesh::transfer(Tick ready_at, NodeId src, NodeId dst, Bytes bytes) {
   config_check(src < node_count() && dst < node_count(),
                "mesh transfer endpoints out of range");
   if (bytes == 0) return ready_at;
-  const auto path = route(src, dst);
+  route(src, dst);
 
   // Flit accounting for the energy model: every chunk is flitized on every
   // hop it traverses.
   const auto flits_total = ceil_div<Bytes>(bytes, config_.flit_bytes);
-  flit_hops_ += flits_total * path.size();
+  flit_hops_ += flits_total * route_.size();
   bytes_injected_ += bytes;
   ++packets_;
   if (!router_flits_.empty()) {
-    for (const auto& hop : path) router_flits_[hop.router]->inc(flits_total);
+    for (const auto& hop : route_) router_flits_[hop.router]->inc(flits_total);
   }
 
   Tick last_arrival = ready_at;
@@ -70,7 +69,7 @@ Tick Mesh::transfer(Tick ready_at, NodeId src, NodeId dst, Bytes bytes) {
   while (remaining > 0) {
     const Bytes chunk = std::min<Bytes>(remaining, config_.chunk_bytes);
     Tick t = chunk_ready;
-    for (const auto& hop : path) {
+    for (const auto& hop : route_) {
       t = routers_[hop.router]->port(hop.out).submit(t, chunk);
     }
     last_arrival = std::max(last_arrival, t);

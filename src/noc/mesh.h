@@ -68,16 +68,19 @@ class Mesh {
   void set_stats(sim::StatRegistry& reg);
 
  private:
-  /// Sequence of (router, output port) pairs along the XY route, ending with
-  /// the destination's local ejection port.
+  /// One (router, output port) pair on an XY route.
   struct Hop {
     NodeId router;
     Direction out;
   };
-  std::vector<Hop> route(NodeId src, NodeId dst) const;
+  /// Fill route_ with the XY route from `src` to `dst`, ending with the
+  /// destination's local ejection port.
+  void route(NodeId src, NodeId dst);
 
   MeshConfig config_;
   std::vector<std::unique_ptr<Router>> routers_;
+  /// Scratch for route(), reused by every transfer so none allocates.
+  std::vector<Hop> route_;
   std::uint64_t flit_hops_ = 0;
   Bytes bytes_injected_ = 0;
   std::uint64_t packets_ = 0;

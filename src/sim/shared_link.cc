@@ -1,7 +1,8 @@
 #include "sim/shared_link.h"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "common/config_error.h"
@@ -33,32 +34,28 @@ Tick SharedLink::submit(Tick ready_at, Bytes bytes) {
 
   // Find the earliest gap of `occupancy` cycles at or after ready_at.
   Tick start = ready_at;
-  auto it = busy_.upper_bound(ready_at);
-  if (it != busy_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second > start) start = prev->second;  // inside an interval
+  auto it = first_after(ready_at);
+  if (it != busy_.begin() && std::prev(it)->second > start) {
+    start = std::prev(it)->second;  // inside an interval
   }
-  while (it != busy_.end()) {
-    if (start + occupancy <= it->first) break;  // fits in the gap
+  while (it != busy_.end() && start + occupancy > it->first) {
     start = it->second;
     ++it;
   }
   const Tick end = start + occupancy;
 
-  // Insert [start, end), merging with adjacent intervals.
-  auto inserted = busy_.emplace(start, end).first;
-  if (inserted != busy_.begin()) {
-    auto prev = std::prev(inserted);
-    if (prev->second == start) {
-      prev->second = end;
-      busy_.erase(inserted);
-      inserted = prev;
-    }
-  }
-  auto next = std::next(inserted);
-  if (next != busy_.end() && next->first == inserted->second) {
-    inserted->second = next->second;
-    busy_.erase(next);
+  // Insert [start, end) before `it`, merging with adjacent intervals.
+  const bool joins_prev = it != busy_.begin() && std::prev(it)->second == start;
+  const bool joins_next = it != busy_.end() && it->first == end;
+  if (joins_prev && joins_next) {
+    std::prev(it)->second = it->second;
+    busy_.erase(it);
+  } else if (joins_prev) {
+    std::prev(it)->second = end;
+  } else if (joins_next) {
+    it->first = start;
+  } else {
+    busy_.insert(it, {start, end});
   }
 
   busy_cycles_ += occupancy;
@@ -69,30 +66,35 @@ Tick SharedLink::submit(Tick ready_at, Bytes bytes) {
   return end + latency_;
 }
 
-Tick SharedLink::next_free(Tick t) const {
-  auto it = busy_.upper_bound(t);
-  if (it == busy_.begin()) return t;
-  auto prev = std::prev(it);
-  return prev->second > t ? prev->second : t;
+std::vector<SharedLink::Interval>::iterator SharedLink::first_after(Tick t) {
+  // Payloads are mostly ready near the tail: gallop back from it, then
+  // binary-search the last stride. Every interval in [hi, end) starts after t.
+  auto hi = busy_.end();
+  for (std::ptrdiff_t stride = 1; hi != busy_.begin(); stride *= 2) {
+    const auto probe = hi - std::min(stride, hi - busy_.begin());
+    if (probe->first <= t) {
+      return std::upper_bound(
+          probe, hi, t, [](Tick x, const Interval& iv) { return x < iv.first; });
+    }
+    hi = probe;
+  }
+  return hi;
 }
 
 void SharedLink::compact() {
   if (high_watermark_ < kCompactHorizon) return;
   const Tick cutoff = high_watermark_ - kCompactHorizon;
-  // Replace everything ending before `cutoff` with one blocker interval.
-  auto it = busy_.begin();
-  Tick blocker_start = kTickMax;
-  while (it != busy_.end() && it->second <= cutoff) {
-    blocker_start = std::min(blocker_start, it->first);
-    it = busy_.erase(it);
-  }
-  if (blocker_start != kTickMax) {
-    Tick blocker_end = cutoff;
-    if (!busy_.empty()) {
-      blocker_end = std::min(blocker_end, busy_.begin()->first);
-    }
-    if (blocker_end > blocker_start) busy_.emplace(blocker_start, blocker_end);
-  }
+  // Replace everything ending at or before `cutoff` (a prefix: the ends are
+  // sorted too) with one blocker interval.
+  const auto old_end =
+      std::partition_point(busy_.begin(), busy_.end(), [&](const Interval& iv) {
+        return iv.second <= cutoff;
+      });
+  if (old_end == busy_.begin()) return;
+  const Tick blocker_end =
+      old_end == busy_.end() ? cutoff : std::min(cutoff, old_end->first);
+  busy_.front().second = blocker_end;
+  busy_.erase(std::next(busy_.begin()), old_end);
 }
 
 }  // namespace ara::sim

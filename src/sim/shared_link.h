@@ -16,8 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/types.h"
 
@@ -31,10 +32,6 @@ class SharedLink {
   /// Reserve the link for `bytes` starting no earlier than `ready_at`.
   /// Returns the tick at which the payload has fully arrived at the far side.
   Tick submit(Tick ready_at, Bytes bytes);
-
-  /// Earliest tick at which a payload ready at `t` could start transmitting
-  /// (ignores gap lengths; exact for payloads of one occupancy-cycle).
-  Tick next_free(Tick t) const;
 
   Tick pipeline_latency() const { return latency_; }
   double bytes_per_cycle() const { return bytes_per_cycle_; }
@@ -56,18 +53,25 @@ class SharedLink {
   /// Number of submit() calls (≈ packets/chunks).
   std::uint64_t transfers() const { return transfers_; }
 
-  /// Number of live reservation intervals (bounded by compaction; exposed
-  /// for tests).
+  /// Number of live reservation intervals. Compaction caps this only once
+  /// the high watermark passes 2^21 cycles; below that the count grows with
+  /// the run (thousands on a long design point's busiest mesh port).
   std::size_t reservation_intervals() const { return busy_.size(); }
 
  private:
+  /// [start, end) of one busy interval.
+  using Interval = std::pair<Tick, Tick>;
+
+  /// First interval starting after `t` (end() if none).
+  std::vector<Interval>::iterator first_after(Tick t);
   void compact();
 
   std::string name_;
   double bytes_per_cycle_;
   Tick latency_;
-  /// Non-overlapping busy intervals, keyed by start tick; value = end tick.
-  std::map<Tick, Tick> busy_;
+  /// Non-overlapping busy intervals sorted by start tick. Most reservations
+  /// land at or near the tail, so an insert moves only a short suffix.
+  std::vector<Interval> busy_;
   Tick busy_cycles_ = 0;
   Bytes total_bytes_ = 0;
   std::uint64_t transfers_ = 0;

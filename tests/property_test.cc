@@ -2,8 +2,13 @@
 // the whole design space and under randomized inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <iterator>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "check/check.h"
 #include "check/fuzz.h"
@@ -56,6 +61,119 @@ TEST_P(SharedLinkProperty, GapFillingNeverBlocksEarlyTraffic) {
   link.submit(1'000'000, 64);
   const Tick done = link.submit(10, 64);
   EXPECT_LE(done, 14u + 4u);
+}
+
+// Brute-force reference for SharedLink: one busy flag per cycle. A payload
+// takes the earliest run of free cycles at or after its ready time, with its
+// occupancy computed exactly as SharedLink::submit computes it.
+class CycleOccupancyModel {
+ public:
+  CycleOccupancyModel(double bytes_per_cycle, Tick latency)
+      : bytes_per_cycle_(bytes_per_cycle), latency_(latency) {}
+
+  Tick submit(Tick ready_at, Bytes bytes) {
+    if (bytes == 0) return ready_at + latency_;
+    auto occupancy = static_cast<Tick>(
+        std::ceil(static_cast<double>(bytes) / bytes_per_cycle_));
+    if (occupancy == 0) occupancy = 1;
+    Tick start = ready_at;
+    for (Tick run = 0; run < occupancy;) {
+      if (busy(start + run)) {
+        start += run + 1;
+        run = 0;
+      } else {
+        ++run;
+      }
+    }
+    if (busy_.size() < start + occupancy) busy_.resize(start + occupancy);
+    std::fill(busy_.begin() + static_cast<std::ptrdiff_t>(start),
+              busy_.begin() + static_cast<std::ptrdiff_t>(start + occupancy),
+              true);
+    total_bytes_ += bytes;
+    ++transfers_;
+    return start + occupancy + latency_;
+  }
+
+  /// Number of maximal runs of busy cycles.
+  std::size_t busy_runs() const {
+    std::size_t runs = 0;
+    for (std::size_t t = 0; t < busy_.size(); ++t) {
+      if (busy_[t] && (t == 0 || !busy_[t - 1])) ++runs;
+    }
+    return runs;
+  }
+
+  Tick busy_cycles() const {
+    return static_cast<Tick>(std::count(busy_.begin(), busy_.end(), true));
+  }
+  Bytes total_bytes() const { return total_bytes_; }
+  std::uint64_t transfers() const { return transfers_; }
+
+ private:
+  bool busy(Tick t) const { return t < busy_.size() && busy_[t]; }
+
+  double bytes_per_cycle_;
+  Tick latency_;
+  std::vector<bool> busy_;
+  Bytes total_bytes_ = 0;
+  std::uint64_t transfers_ = 0;
+};
+
+// Random payload streams through chains of links, checked submit by submit
+// against the per-cycle model. Streams mix fractional bandwidths, non-zero
+// latencies, zero-byte payloads, reservations far in the future and later
+// reservations ready before earlier ones. Ticks stay far below the 2^21
+// compaction horizon and each link takes fewer than 4096 payloads, so
+// compaction never runs and the model is exact.
+TEST_P(SharedLinkProperty, MatchesCycleOccupancyModel) {
+  sim::Rng rng(GetParam());
+  constexpr double kBandwidths[] = {0.75, 1.0, 2.5, 8.0, 10.0, 16.0, 32.0};
+  constexpr std::uint64_t kLinks = 3;
+  std::vector<sim::SharedLink> links;
+  std::vector<CycleOccupancyModel> models;
+  for (std::uint64_t l = 0; l < kLinks; ++l) {
+    const double bw = kBandwidths[rng.next_below(std::size(kBandwidths))];
+    const Tick latency = rng.next_below(6);
+    links.emplace_back("d" + std::to_string(l), bw, latency);
+    models.emplace_back(bw, latency);
+  }
+  const auto expect_same_state = [&](int after) {
+    for (std::uint64_t l = 0; l < kLinks; ++l) {
+      SCOPED_TRACE("link " + std::to_string(l) + " after submit " +
+                   std::to_string(after));
+      EXPECT_EQ(links[l].busy_cycles(), models[l].busy_cycles());
+      EXPECT_EQ(links[l].total_bytes(), models[l].total_bytes());
+      EXPECT_EQ(links[l].transfers(), models[l].transfers());
+      EXPECT_EQ(links[l].reservation_intervals(), models[l].busy_runs());
+    }
+  };
+
+  Tick now = 0;
+  for (int i = 0; i < 3000; ++i) {
+    now += rng.next_below(400);
+    Tick ready = now + rng.next_below(200);
+    const auto kind = rng.next_below(10);
+    if (kind == 0) {
+      ready = now + 20'000 + rng.next_below(200'000);  // far in the future
+    } else if (kind <= 2) {
+      ready = now - std::min<Tick>(now, rng.next_below(3000));  // behind
+    }
+    const Bytes bytes = rng.next_below(16) == 0 ? 0 : 1 + rng.next_below(128);
+    // A chain over consecutive links: each hop is ready when the previous
+    // hop returns.
+    const auto first = rng.next_below(kLinks);
+    const auto last = first + rng.next_below(kLinks - first);
+    Tick got = ready;
+    Tick want = ready;
+    for (auto l = first; l <= last; ++l) {
+      got = links[l].submit(got, bytes);
+      want = models[l].submit(want, bytes);
+      ASSERT_EQ(got, want) << "submit " << i << " on link " << l << ", "
+                           << bytes << " bytes ready at " << ready;
+    }
+    if (i % 250 == 249) expect_same_state(i);
+  }
+  expect_same_state(3000);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedLinkProperty,
@@ -131,14 +249,31 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------- Whole-system properties across the design space ----------
 
+// gtest names each instance after the raw bytes of its DesignPoint. The pad_*
+// members fill what would otherwise be padding with zeros, so every byte, and
+// with it every test name, is the same from run to run.
 struct DesignPoint {
+  DesignPoint(std::uint32_t islands_, island::SpmDmaTopology topo_,
+              std::uint32_t rings_, Bytes width_, bool sharing_,
+              std::uint32_t ports_)
+      : islands(islands_),
+        topo(topo_),
+        rings(rings_),
+        width(width_),
+        sharing(sharing_),
+        ports(ports_) {}
+
   std::uint32_t islands;
   island::SpmDmaTopology topo;
+  std::uint8_t pad_topo[3] = {};
   std::uint32_t rings;
+  std::uint32_t pad_rings = 0;
   Bytes width;
   bool sharing;
+  std::uint8_t pad_sharing[3] = {};
   std::uint32_t ports;
 };
+static_assert(sizeof(DesignPoint) == 32, "DesignPoint must have no padding");
 
 class SystemProperty : public ::testing::TestWithParam<DesignPoint> {};
 
