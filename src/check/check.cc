@@ -95,14 +95,8 @@ std::uint64_t verify_ledger(const RunLedger& l) {
 
   // Event balance: the kernel accepted exactly as many events as it
   // dispatched plus what is still pending, and a completed run drains.
-  // Cross-shard channel transfers are dispatched without a local schedule,
-  // so deliveries credit the dispatch side; with no sharding both cross
-  // fields are 0 and this is the original balance law unchanged.
-  expect_eq(l.events_dispatched + l.events_pending,
-            l.events_scheduled + l.cross_shard_delivered,
-            "events dispatched + pending == scheduled + cross delivered");
-  expect_eq(l.cross_shard_delivered, l.cross_shard_sent,
-            "cross-shard events delivered == sent (channels drained)");
+  expect_eq(l.events_dispatched + l.events_pending, l.events_scheduled,
+            "events dispatched + pending == scheduled");
   expect_eq(l.events_pending, 0, "event queue drained at end of run");
 
   return checks;
@@ -144,8 +138,6 @@ void InvariantChecker::begin_run(const workloads::Workload& workload) {
   // scheduled before run()) dispatch inside the run: credit them to this
   // run's schedule side or the balance law would double-count them.
   base_.events_pending = sys_.simulator().pending();
-  base_.cross_shard_sent = sys_.cross_shard_sent();
-  base_.cross_shard_delivered = sys_.cross_shard_delivered();
 
   mark_ = Watermark{};
   mark_.now = sys_.simulator().now();
@@ -248,10 +240,6 @@ void InvariantChecker::end_run(const core::RunResult& r) {
   ledger_.events_dispatched =
       sys_.simulator().events_processed() - base_.events_dispatched;
   ledger_.events_pending = sys_.simulator().pending();
-  ledger_.cross_shard_sent =
-      sys_.cross_shard_sent() - base_.cross_shard_sent;
-  ledger_.cross_shard_delivered =
-      sys_.cross_shard_delivered() - base_.cross_shard_delivered;
 
   checks_passed_ += verify_ledger(ledger_);
 
@@ -301,8 +289,6 @@ void InvariantChecker::end_run(const core::RunResult& r) {
            std::to_string(want) + ")");
   };
   expect_stat("sim.events", sys_.simulator().events_processed());
-  expect_stat("sim.shard.sites", sys_.shard_sites());
-  expect_stat("sim.shard.cross.delivered", sys_.cross_shard_delivered());
   expect_stat("abc.jobs_completed", sys_.composer().jobs_completed());
   expect_stat("abc.tasks_started", sys_.composer().tasks_started());
   expect_stat("gam.interrupts", sys_.gam().interrupts_delivered());

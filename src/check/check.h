@@ -93,16 +93,6 @@ struct RunLedger {
   std::uint64_t events_scheduled = 0;
   std::uint64_t events_dispatched = 0;
   std::uint64_t events_pending = 0;  // at end of run (must be 0)
-  /// Cross-shard channel transfers (partitioned kernel, sim/shard.h): an
-  /// event sent over a channel is scheduled in one shard's stream but
-  /// dispatched in another without ever entering a local queue, so the
-  /// balance law credits deliveries to the dispatch side:
-  ///   dispatched + pending == scheduled + cross_delivered,
-  /// and a drained run moved every transfer: sent == delivered. Both fields
-  /// are 0 for unsharded runs (and for today's hub-only degenerate plan),
-  /// where the laws reduce exactly to the PR-4 originals.
-  std::uint64_t cross_shard_sent = 0;
-  std::uint64_t cross_shard_delivered = 0;
 };
 
 /// Verify every conservation law the ledger encodes; throws CheckError on
@@ -166,8 +156,6 @@ class InvariantChecker {
     std::uint64_t events_scheduled = 0;
     std::uint64_t events_dispatched = 0;
     std::uint64_t events_pending = 0;  // queued before the run began
-    std::uint64_t cross_shard_sent = 0;
-    std::uint64_t cross_shard_delivered = 0;
   } base_;
 
   // Monotonicity watermarks advanced by every live sample.

@@ -78,14 +78,6 @@ CliOptions CliOptions::parse(int& argc, char** argv, unsigned accept) {
   if ((accept & kLog) != 0) {
     if (const char* s = std::getenv("ARA_LOG")) opts.log_file = s;
   }
-  if ((accept & kShards) != 0) {
-    if (const char* s = std::getenv("ARA_SHARDS")) {
-      if (!parse_jobs_value(s, &opts.shards)) {
-        opts.error = "ARA_SHARDS: expected a non-negative integer, got '" +
-                     std::string(s) + "'";
-      }
-    }
-  }
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
@@ -128,13 +120,6 @@ CliOptions CliOptions::parse(int& argc, char** argv, unsigned accept) {
                (consumed = match("--log", i, argc, argv, &value)) != 0) {
       flag = "--log";
       opts.log_file = value;
-    } else if ((accept & kShards) != 0 &&
-               (consumed = match("--shards", i, argc, argv, &value)) != 0) {
-      flag = "--shards";
-      if (consumed > 0 && !parse_jobs_value(value, &opts.shards)) {
-        opts.error = "--shards: expected a non-negative integer, got '" +
-                     value + "'";
-      }
     }
     if (consumed == 0) continue;
     if (consumed < 0) {
@@ -179,12 +164,6 @@ std::string CliOptions::help(unsigned accept) {
     out +=
         "  --log FILE       append one JSONL line per served request "
         "(trace id, spans, outcome; env ARA_LOG)\n";
-  }
-  if ((accept & kShards) != 0) {
-    out +=
-        "  --shards N       partitioned-kernel workers per simulation "
-        "(default 1 = serial; 0 = hardware concurrency; results are "
-        "byte-identical for every value; env ARA_SHARDS)\n";
   }
   return out;
 }

@@ -47,7 +47,7 @@ class ErrorSlot {
   std::size_t index_ ARA_GUARDED_BY(mu_) = 0;
 };
 
-SweepResult run_one(const SweepJob& job, unsigned worker, unsigned shards) {
+SweepResult run_one(const SweepJob& job, unsigned worker) {
   config_check(job.workload != nullptr, "SweepJob has no workload");
   SweepResult out;
   out.worker = worker;
@@ -57,28 +57,28 @@ SweepResult run_one(const SweepJob& job, unsigned worker, unsigned shards) {
   // file stays clean under ara_lint's no-wall-clock rule.
   obs::MonotonicClock& clock = obs::MonotonicClock::host();
   const std::uint64_t t0_ns = clock.now_ns();
-  core::System system(job.config);
-  system.set_shards(shards);
-  system.simulator().set_self_profiling(true);
-  out.result = system.run(*job.workload);
-  out.events = system.simulator().events_processed();
-  out.metrics = obs::MetricsSnapshot::capture(system.stats());
-  out.event_kinds = system.simulator().kind_stats();
+  {
+    core::System system(job.config);
+    system.simulator().set_self_profiling(true);
+    out.result = system.run(*job.workload);
+    out.events = system.simulator().events_processed();
+    out.metrics = obs::MetricsSnapshot::capture(system.stats());
+    out.event_kinds = system.simulator().kind_stats();
+  }  // the System's teardown is part of the point's cost
   out.wall_seconds = static_cast<double>(clock.now_ns() - t0_ns) * 1e-9;
   return out;
 }
 
 }  // namespace
 
-ParallelSweepExecutor::ParallelSweepExecutor(unsigned jobs, unsigned shards)
-    : jobs_(resolve_jobs(jobs)), shards_(shards) {}
+ParallelSweepExecutor::ParallelSweepExecutor(unsigned jobs)
+    : jobs_(resolve_jobs(jobs)) {}
 
 std::vector<SweepResult> ParallelSweepExecutor::run(
     const std::vector<SweepJob>& sweep_jobs) const {
-  const unsigned shards = shards_;
   return run_with(sweep_jobs,
-                  [shards](const SweepJob& job, std::size_t, unsigned worker) {
-                    return run_one(job, worker, shards);
+                  [](const SweepJob& job, std::size_t, unsigned worker) {
+                    return run_one(job, worker);
                   });
 }
 

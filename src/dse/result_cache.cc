@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/config_digest.h"
-#include "obs/json_check.h"
 #include "obs/json_io.h"
 
 namespace ara::dse {
@@ -162,9 +161,8 @@ std::string ResultCache::to_json(std::uint64_t key, std::uint64_t salt,
 
 bool ResultCache::from_json(const std::string& text, std::uint64_t key,
                             std::uint64_t salt, Entry* out) {
-  // Full grammar validation first: a truncated or hand-edited file must be
-  // a clean miss.
-  if (!obs::validate_json(text)) return false;
+  // parse_json enforces the full grammar: a truncated or hand-edited file
+  // is a clean miss.
   obs::JsonValue root;
   if (!obs::parse_json(text, &root) || !root.is_object()) return false;
 

@@ -12,9 +12,9 @@
 //  - in-process: an unordered_map, always on, mutex-protected;
 //  - on-disk (optional, `--cache DIR` / ARA_CACHE): one JSON file per key,
 //    written with 17-significant-digit doubles so RunResult round-trips
-//    bit-exactly (asserted by tests/result_cache_test.cc). Files are
-//    validated with obs::validate_json on load; corrupt or truncated files
-//    are treated as misses, never as errors.
+//    bit-exactly (asserted by tests/result_cache_test.cc). Files are read
+//    with the strict obs::parse_json; corrupt or truncated files are
+//    treated as misses, never as errors.
 //
 // Host-dependent observability (wall seconds, self-profile seconds) is NOT
 // cached — a hit restores the deterministic fields (result, metrics, event
@@ -42,10 +42,11 @@ namespace ara::dse {
 /// 3 -> 4: Histogram::percentile now reports bucket midpoints (affects
 /// job_latency_p50/p95 in RunResult) and serialized histogram samples
 /// carry a "min" field — both change entry bytes.
-/// 4 -> 5: MetricsSnapshot gained the sim.shard.* partitioned-kernel
-/// counters, changing entry bytes. The shard/worker count itself is
-/// deliberately NOT in the key: results are byte-identical across shard
-/// counts, so warm entries serve every --shards value.
+/// 4 -> 5: MetricsSnapshot gained the six sim.shard.* counters, changing
+/// entry bytes. The partitioned kernel that produced them is gone; the
+/// counters stay frozen at their serial values (core::System::
+/// snapshot_stats) so salt-5 entries stay valid, and the next bump should
+/// delete them.
 inline constexpr std::uint64_t kSimVersionSalt = 5;
 
 class ResultCache {

@@ -75,7 +75,6 @@ class Evaluator {
         req_.spec.workload, req_.spec.scale * scale_mult);
     SweepRequest rq;
     rq.jobs = req_.jobs;
-    rq.shards = req_.shards;
     rq.cache = req_.cache;
     rq.coalescer = req_.coalescer;
     for (const PointSpec& s : specs) rq.add(s.to_config(), wl);

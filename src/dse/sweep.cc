@@ -129,7 +129,7 @@ std::vector<SweepResult> run(const SweepRequest& request) {
 
   if (!miss_jobs.empty()) {
     obs::ScopedSpan simulate_span(trace, obs::Phase::kSimulate);
-    const ParallelSweepExecutor executor(request.jobs, request.shards);
+    const ParallelSweepExecutor executor(request.jobs);
     std::vector<SweepResult> fresh;
     try {
       fresh = executor.run(miss_jobs);
@@ -196,7 +196,7 @@ std::vector<SweepResult> run(const SweepRequest& request) {
   }
   if (!orphan_jobs.empty()) {
     obs::ScopedSpan simulate_span(trace, obs::Phase::kSimulate);
-    const ParallelSweepExecutor executor(request.jobs, request.shards);
+    const ParallelSweepExecutor executor(request.jobs);
     auto fresh = executor.run(orphan_jobs);
     for (std::size_t m = 0; m < fresh.size(); ++m) {
       if (request.cache != nullptr) {

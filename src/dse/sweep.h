@@ -51,8 +51,9 @@ struct SweepJob {
 struct SweepResult {
   core::RunResult result;
 
-  /// Host wall-clock seconds spent simulating this point (0 for a cache
-  /// hit — nothing was simulated).
+  /// Host wall-clock seconds this point cost: building its System,
+  /// simulating, and destroying the System again (0 for a cache hit —
+  /// nothing was simulated).
   double wall_seconds = 0;
   /// Discrete events the point's Simulator executed (determinism and
   /// cost-model telemetry). Restored exactly on a cache hit.
@@ -88,14 +89,6 @@ struct SweepRequest {
   /// Worker threads; 0 = hardware concurrency, 1 (default) = serial. Any
   /// value produces bit-identical results (each point owns its simulator).
   unsigned jobs = 1;
-  /// Partitioned-kernel workers *inside* each simulated point (the
-  /// sim::ShardedSimulator --shards knob; 0 = hardware concurrency, 1 =
-  /// classic serial kernel). Like `jobs`, purely an execution resource: any
-  /// value produces bit-identical results, and shard count is deliberately
-  /// NOT part of the cache key — a warm cache from a --shards 1 run serves
-  /// a --shards 4 request the same bytes, which the differential battery
-  /// exploits to cross-check the kernels against each other.
-  unsigned shards = 1;
   /// Optional memoization tier (borrowed, may be shared across requests):
   /// points whose (config, workload, salt) key hits are restored without
   /// simulating; misses are simulated and inserted.
@@ -128,10 +121,6 @@ struct SweepRequest {
   }
   SweepRequest& with_jobs(unsigned n) {
     jobs = n;
-    return *this;
-  }
-  SweepRequest& with_shards(unsigned n) {
-    shards = n;
     return *this;
   }
   SweepRequest& with_cache(ResultCache* c) {

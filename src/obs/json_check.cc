@@ -1,236 +1,12 @@
 #include "obs/json_check.h"
 
-#include <cctype>
-#include <cstdint>
+#include "obs/json_io.h"
 
 namespace ara::obs {
 
-namespace {
-
-/// Recursive-descent validator over a string_view. Depth-limited so a
-/// pathological input cannot overflow the host stack.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  bool run(std::string* error) {
-    skip_ws();
-    if (!value(0)) {
-      emit(error);
-      return false;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      fail("trailing content after top-level value");
-      emit(error);
-      return false;
-    }
-    return true;
-  }
-
- private:
-  static constexpr int kMaxDepth = 256;
-
-  void emit(std::string* error) const {
-    if (error != nullptr) {
-      *error = "offset " + std::to_string(err_pos_) + ": " + err_;
-    }
-  }
-
-  bool fail(const char* message) {
-    if (err_ == nullptr) {
-      err_ = message;
-      err_pos_ = pos_;
-    }
-    return false;
-  }
-
-  bool eof() const { return pos_ >= text_.size(); }
-  char peek() const { return text_[pos_]; }
-
-  void skip_ws() {
-    while (!eof()) {
-      const char c = peek();
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.compare(pos_, word.size(), word) != 0) {
-      return fail("invalid literal");
-    }
-    pos_ += word.size();
-    return true;
-  }
-
-  bool value(int depth) {
-    if (depth > kMaxDepth) return fail("nesting too deep");
-    if (eof()) return fail("unexpected end of input");
-    switch (peek()) {
-      case '{':
-        return object(depth);
-      case '[':
-        return array(depth);
-      case '"':
-        return string();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return number();
-    }
-  }
-
-  bool object(int depth) {
-    ++pos_;  // '{'
-    skip_ws();
-    if (!eof() && peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (eof() || peek() != '"') return fail("expected object key string");
-      if (!string()) return false;
-      skip_ws();
-      if (eof() || peek() != ':') return fail("expected ':' after key");
-      ++pos_;
-      skip_ws();
-      if (!value(depth + 1)) return false;
-      skip_ws();
-      if (eof()) return fail("unterminated object");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or '}' in object");
-    }
-  }
-
-  bool array(int depth) {
-    ++pos_;  // '['
-    skip_ws();
-    if (!eof() && peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (!value(depth + 1)) return false;
-      skip_ws();
-      if (eof()) return fail("unterminated array");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or ']' in array");
-    }
-  }
-
-  bool string() {
-    ++pos_;  // '"'
-    while (!eof()) {
-      const auto c = static_cast<unsigned char>(peek());
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (eof()) return fail("unterminated escape");
-        const char e = peek();
-        switch (e) {
-          case '"':
-          case '\\':
-          case '/':
-          case 'b':
-          case 'f':
-          case 'n':
-          case 'r':
-          case 't':
-            ++pos_;
-            break;
-          case 'u': {
-            ++pos_;
-            for (int i = 0; i < 4; ++i) {
-              if (eof() || !std::isxdigit(static_cast<unsigned char>(peek()))) {
-                return fail("invalid \\u escape");
-              }
-              ++pos_;
-            }
-            break;
-          }
-          default:
-            return fail("invalid escape character");
-        }
-        continue;
-      }
-      if (c < 0x20) return fail("raw control character in string");
-      ++pos_;
-    }
-    return fail("unterminated string");
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (!eof() && peek() == '-') ++pos_;
-    if (eof() || !std::isdigit(static_cast<unsigned char>(peek()))) {
-      return fail("invalid number");
-    }
-    if (peek() == '0') {
-      ++pos_;
-    } else {
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        ++pos_;
-      }
-    }
-    if (!eof() && peek() == '.') {
-      ++pos_;
-      if (eof() || !std::isdigit(static_cast<unsigned char>(peek()))) {
-        return fail("digit required after decimal point");
-      }
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        ++pos_;
-      }
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (eof() || !std::isdigit(static_cast<unsigned char>(peek()))) {
-        return fail("digit required in exponent");
-      }
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        ++pos_;
-      }
-    }
-    return pos_ > start;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  const char* err_ = nullptr;
-  std::size_t err_pos_ = 0;
-};
-
-}  // namespace
-
 bool validate_json(std::string_view text, std::string* error) {
-  return Parser(text).run(error);
+  JsonValue ignored;
+  return parse_json(text, &ignored, error);
 }
 
 }  // namespace ara::obs

@@ -4,7 +4,9 @@
 // no trailing content, no comments, no trailing commas, no bare NaN/Inf, no
 // raw control characters inside strings. It exists so exporter regressions
 // (TraceCollector, MetricsExporter) fail tests and the CLI smoke ctest
-// instead of surfacing later as a Perfetto "could not parse" error.
+// instead of surfacing later as a Perfetto "could not parse" error. It is
+// obs::parse_json with the DOM thrown away, so the two can never disagree
+// on what is valid JSON.
 #pragma once
 
 #include <string>

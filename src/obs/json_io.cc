@@ -27,8 +27,7 @@ std::uint64_t JsonValue::as_u64() const {
 
 namespace {
 
-/// Recursive-descent reader; mirrors the grammar of obs::validate_json
-/// (json_check.cc) but materializes a DOM. Depth-limited against
+/// Recursive-descent reader that materializes a DOM. Depth-limited against
 /// pathological nesting.
 class Reader {
  public:

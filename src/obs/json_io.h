@@ -2,8 +2,9 @@
 //
 // The exporters in this module only ever needed to WRITE JSON; the DSE
 // result cache also needs to READ it back (RunResult + MetricsSnapshot
-// round-trip through the on-disk cache tier). parse_json() accepts the same
-// strict RFC 8259 grammar validate_json() enforces and builds a small DOM.
+// round-trip through the on-disk cache tier). parse_json() accepts the
+// strict RFC 8259 grammar and builds a small DOM; validate_json()
+// (json_check.h) is this parser with the DOM discarded.
 // Numbers keep their raw source token so 64-bit counters (which do not fit
 // a double) and 17-digit doubles both round-trip exactly.
 #pragma once

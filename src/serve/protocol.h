@@ -28,9 +28,6 @@
 // design, fifo GAM, no sharing, 1x ports). "points" itself defaults to
 // one default point, "client" (the fairness bucket) to "anon". Search
 // "space" lists default to dse::SearchSpace's per-dimension defaults.
-// Sweep and search both accept an optional "shards" (default 1, capped at
-// kMaxShards): partitioned-kernel workers per simulated point. It is an
-// execution resource only — served bytes are identical for every value.
 // PointSpec::to_config builds the ArchConfig exactly the way ara_sim's
 // flag parser does, so a served point and a CLI run of the same spec are
 // the same design point — and therefore, through dse::run, the same bits.
@@ -77,11 +74,6 @@ inline constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
 /// The one wire-protocol version so far. Requests without "v" are v1.
 inline constexpr std::uint32_t kProtocolVersion = 1;
 
-/// Ceiling on the per-request "shards" field (partitioned-kernel workers
-/// per simulated point). A client cannot commandeer an unbounded number of
-/// server threads; values outside [1, kMaxShards] are a typed bad_request.
-inline constexpr std::uint32_t kMaxShards = 16;
-
 // ---------------------------------------------------------------- framing
 
 /// Result of read_frame: distinguishes clean end-of-stream from damage.
@@ -114,11 +106,6 @@ struct Request {
   std::string client = "anon";
   std::string workload;  // benchmark name (sweep/search)
   double scale = 0.25;   // invocation scale factor (sweep/search)
-  /// Partitioned-kernel workers per simulated point (sweep/search;
-  /// optional "shards" field, validated to [1, kMaxShards]). Execution
-  /// resource only: the served bytes are identical for every value, which
-  /// serve_smoke proves against unsharded local runs.
-  unsigned shards = 1;
   std::vector<PointSpec> points;  // sweep only
   dse::SearchSpec search;         // search only
 };

@@ -146,7 +146,6 @@ std::string Server::execute_sweep(const protocol::Request& request,
         workloads::make_benchmark(request.workload, request.scale);
     dse::SweepRequest sweep;
     sweep.jobs = opts_.jobs;
-    sweep.shards = request.shards;
     sweep.cache = &cache_;
     sweep.coalescer = &coalescer_;
     sweep.trace = trace;
@@ -208,7 +207,6 @@ std::string Server::execute_search(const protocol::Request& request,
     dse::SearchRequest sr;
     sr.spec = request.search;
     sr.jobs = opts_.jobs;
-    sr.shards = request.shards;
     sr.cache = &cache_;
     sr.coalescer = &coalescer_;
     sr.trace = trace;

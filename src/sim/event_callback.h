@@ -20,8 +20,8 @@ namespace ara::sim {
 class EventCallback {
  public:
   /// Inline capture budget. 56 bytes = 7 pointers, which covers every
-  /// lambda the simulator schedules today (see bench_kernel_hotpath for the
-  /// measured inline-hit rate); bigger captures take one heap allocation.
+  /// lambda the simulator schedules today; bigger captures take one heap
+  /// allocation, counted by Simulator::heap_callbacks().
   static constexpr std::size_t kInlineBytes = 56;
 
   EventCallback() = default;

@@ -96,9 +96,6 @@ void Simulator::schedule_at(Tick at, EventFn fn, EventKind kind) {
   if (at - wheel_base_ < kWheelSize) {
     bucket_append(e);
     ++wheel_count_;
-    // A peek (run_until) may have advanced the cursor past `at` while the
-    // wheel was empty ahead of it; pull it back so the scan sees the event.
-    if (at < cursor_) cursor_ = at;
   } else {
     overflow_.push(e);
   }
@@ -171,44 +168,6 @@ bool Simulator::step() {
 void Simulator::run() {
   while (step()) {
   }
-}
-
-bool Simulator::peek_next(Tick* at) {
-  if (size_ == 0) return false;
-  if (wheel_count_ == 0) {
-    *at = overflow_.top()->at;
-  } else {
-    while (buckets_[cursor_ & kWheelMask].head == nullptr) ++cursor_;
-    *at = buckets_[cursor_ & kWheelMask].head->at;
-  }
-  return true;
-}
-
-void Simulator::advance_to(Tick at) {
-  if (at < now_) {
-    throw ScheduleError("advance_to(" + std::to_string(at) +
-                        "): tick is in the past (now=" + std::to_string(now_) +
-                        ")");
-  }
-  Tick next;
-  if (peek_next(&next) && next < at) {
-    throw ScheduleError("advance_to(" + std::to_string(at) +
-                        "): would jump over a pending event at tick " +
-                        std::to_string(next));
-  }
-  now_ = at;
-}
-
-bool Simulator::run_until(Tick limit) {
-  Tick next;
-  while (peek_next(&next)) {
-    if (next > limit) {
-      now_ = limit;
-      return false;
-    }
-    step();
-  }
-  return true;
 }
 
 }  // namespace ara::sim

@@ -104,27 +104,6 @@ class Simulator {
   /// Run until the event queue is empty.
   void run();
 
-  /// Run until the event queue is empty or `limit` is reached, whichever
-  /// comes first. Events scheduled exactly at `limit` are executed.
-  /// Returns true if the queue drained (i.e. the simulation completed).
-  bool run_until(Tick limit);
-
-  /// Report the tick of the next pending event without dispatching it (the
-  /// peek run_until always performed, exposed for window schedulers that
-  /// must decide whether a partition has work inside a time window before
-  /// running it). Returns false when nothing is pending. Advancing cursor_
-  /// over empty buckets is safe: wheel entries all lie at or beyond it.
-  bool peek_next(Tick* at);
-
-  /// Advance now() to `at` without dispatching anything. The partitioned
-  /// runner (sim/shard.h) dispatches cross-partition events itself — they
-  /// never consume a local seq number, which is what keeps local (tick,seq)
-  /// order invariant across window sizes — but the callbacks it runs must
-  /// see now() == their tick so relative scheduling lands correctly.
-  /// Throws ScheduleError when `at < now()` or when a pending event before
-  /// `at` would be jumped over.
-  void advance_to(Tick at);
-
   /// Number of events executed so far (useful for runaway detection and
   /// determinism checks).
   std::uint64_t events_processed() const { return events_processed_; }
@@ -158,8 +137,8 @@ class Simulator {
   }
 
   /// Events whose callback captures spilled to the heap (larger than
-  /// EventCallback::kInlineBytes). Telemetry for the hot-path benchmark; a
-  /// rising value means a scheduler grew a capture past the inline budget.
+  /// EventCallback::kInlineBytes). A rising value means a scheduler grew a
+  /// capture past the inline budget.
   std::uint64_t heap_callbacks() const { return heap_callbacks_; }
 
  private:

@@ -16,6 +16,7 @@
 #include "core/arch_config.h"
 #include "core/config_digest.h"
 #include "dse/result_cache.h"
+#include "dse/spec.h"
 #include "dse/sweep.h"
 #include "obs/json_check.h"
 #include "workloads/registry.h"
@@ -171,6 +172,60 @@ TEST(ResultCache, EntryJsonIsStrictlyValid) {
   EXPECT_EQ(parsed.result, entry.result);
   EXPECT_EQ(parsed.events, entry.events);
   EXPECT_EQ(exact_metrics(parsed.metrics), exact_metrics(entry.metrics));
+}
+
+// Entry bytes are what the disk tier stores and ara_serve returns, so they
+// may change only together with a kSimVersionSalt bump. Four rows of
+// perfbench/digests.txt pin them: each point is built the way perfbench's
+// GridPoint::spec() builds it, run through dse::run, and hashed as FNV-1a
+// of to_json without its trailing newline.
+TEST(ResultCache, EntryBytesMatchPinnedDigests) {
+  ASSERT_EQ(kSimVersionSalt, 5u) << "re-pin these rows after a salt bump";
+  struct Pin {
+    double scale;
+    const char* bench;
+    std::uint32_t islands;
+    const char* net;
+    std::uint32_t rings;
+    std::uint64_t width;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {0.01, "Denoise", 3, "proxy", 1, 32, 0x051c98915f63d231ull},
+      {0.01, "Deblur", 12, "ring", 1, 16, 0x846a6a3d5da3a697ull},
+      {0.01, "EKF-SLAM", 6, "ring", 2, 32, 0xd1a10c4ed310dd44ull},
+      {0.02, "Segmentation", 24, "ring", 3, 32, 0x3f4e0cd4cea7e2d6ull},
+  };
+  std::vector<workloads::Workload> wls;
+  for (const Pin& p : pins) {
+    wls.push_back(workloads::make_benchmark(p.bench, p.scale));
+  }
+  SweepRequest request;
+  for (std::size_t i = 0; i < wls.size(); ++i) {
+    PointSpec spec;
+    spec.islands = pins[i].islands;
+    spec.net = pins[i].net;
+    spec.rings = pins[i].rings;
+    spec.link_bytes = pins[i].width;
+    request.add(spec.to_config(), wls[i]);
+  }
+  const std::vector<SweepResult> results = run(request.with_jobs(2));
+  ASSERT_EQ(results.size(), wls.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ResultCache::Entry entry;
+    entry.result = results[i].result;
+    entry.metrics = results[i].metrics;
+    entry.events = results[i].events;
+    entry.event_kinds = results[i].event_kinds;
+    std::string json = ResultCache::to_json(
+        ResultCache::key(request.sweep[i].config, wls[i]), kSimVersionSalt,
+        entry);
+    while (!json.empty() && json.back() == '\n') json.pop_back();
+    EXPECT_EQ(core::fnv1a64(json), pins[i].digest)
+        << pins[i].scale << " " << pins[i].bench << " " << pins[i].islands
+        << " " << pins[i].net << " x" << pins[i].rings << " "
+        << pins[i].width << "B";
+  }
 }
 
 TEST(ResultCache, FromJsonRejectsKeyOrSaltMismatch) {

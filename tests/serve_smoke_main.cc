@@ -37,12 +37,7 @@
 //  12. purity         — a daemon without --log (and with --jobs 1) serves
 //                       entry objects and search result blocks
 //                       byte-identical to the logged --jobs 2 daemon's
-//                       (tracing and worker counts never perturb results);
-//  13. sharding       — a sweep with "shards":4 (partitioned-kernel
-//                       workers) serves entry objects byte-identical to a
-//                       separate cold daemon simulating the same fresh
-//                       points unsharded, and out-of-range "shards" gets
-//                       a typed bad_request naming the field.
+//                       (tracing and worker counts never perturb results).
 //
 // Standalone binary (not gtest): it forks/execs and signals real
 // processes, which is cleaner outside the gtest harness. Any failure
@@ -608,51 +603,6 @@ int main(int argc, char** argv) {
             !result_cold.empty(),
         "search result block is byte-identical across --jobs 1/2 and "
         "cold/warm caches");
-  // ---- 13. sharded execution serves identical bytes ----
-  // "shards" picks the partitioned kernel's worker count per simulated
-  // point — an execution resource, deliberately not part of the cache
-  // key. The no-log daemon simulates fresh 8-island points at shards:4; a
-  // separate cold daemon simulates the same points unsharded; the served
-  // entry objects must be byte-identical.
-  const auto sharded_sweep = [](const std::string& client, unsigned islands,
-                                unsigned shards) {
-    return "{\"type\":\"sweep\",\"client\":\"" + client +
-           "\",\"workload\":\"Denoise\",\"scale\":0.03,\"shards\":" +
-           std::to_string(shards) + ",\"points\":[{\"islands\":" +
-           std::to_string(islands) +
-           ",\"rings\":1,\"width\":16},{\"islands\":" +
-           std::to_string(islands) + ",\"rings\":2,\"width\":32}]}";
-  };
-  std::string sharded;
-  check(fd3 >= 0 && round_trip(fd3, sharded_sweep("alice", 8, 4), &sharded) &&
-            sharded.find("\"type\":\"sweep_result\"") != std::string::npos &&
-            !all_points_flag(sharded, "from_cache"),
-        "shards:4 sweep of fresh 8-island points simulates and succeeds");
-  std::string bad_shards;
-  check(fd3 >= 0 &&
-            round_trip(fd3, sharded_sweep("alice", 8, 17), &bad_shards) &&
-            bad_shards.find("\"code\":\"bad_request\"") != std::string::npos &&
-            bad_shards.find("shards") != std::string::npos,
-        "shards:17 gets a typed bad_request naming the field");
-
-  const std::string socket4 = out_dir + "/ara_serve_serial.sock";
-  const pid_t server4 =
-      spawn_server(server_binary, socket4, "", "8", {"--jobs", "1"});
-  const int fd4 = connect_retry(socket4);
-  check(fd4 >= 0, "unsharded reference daemon came up");
-  std::string serial;
-  check(fd4 >= 0 && round_trip(fd4, sweep_request("alice", 8), &serial) &&
-            serial.find("\"type\":\"sweep_result\"") != std::string::npos,
-        "reference daemon sweeps the same 8-island points unsharded");
-  check(!extract_entries(sharded).empty() &&
-            extract_entries(sharded) == extract_entries(serial),
-        "shards:4 entries are byte-identical to the unsharded run's");
-  if (fd4 >= 0) ::close(fd4);
-  ::kill(server4, SIGTERM);
-  int status4 = 0;
-  ::waitpid(server4, &status4, 0);
-  check(WIFEXITED(status4) && WEXITSTATUS(status4) == 0,
-        "reference daemon exits 0 on SIGTERM");
 
   if (fd3 >= 0) ::close(fd3);
   ::kill(server3, SIGTERM);

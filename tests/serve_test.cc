@@ -245,41 +245,49 @@ TEST(Protocol, RejectsOutOfRangeAndNonIntegralPointFields) {
   EXPECT_EQ(req.points.at(0).islands, 4294967295u);
 }
 
-TEST(Protocol, ShardsFieldIsOptionalAndValidated) {
-  Request req;
-  std::string error;
-  // Absent -> the unsharded default, on both request kinds.
-  ASSERT_TRUE(protocol::parse_request(
-      "{\"type\":\"sweep\",\"workload\":\"D\"}", &req, &error));
-  EXPECT_EQ(req.shards, 1u);
-  ASSERT_TRUE(protocol::parse_request(
-      "{\"type\":\"search\",\"workload\":\"D\"}", &req, &error));
-  EXPECT_EQ(req.shards, 1u);
-
-  ASSERT_TRUE(protocol::parse_request(
-      "{\"type\":\"sweep\",\"workload\":\"D\",\"shards\":4}", &req, &error))
-      << error;
-  EXPECT_EQ(req.shards, 4u);
-  ASSERT_TRUE(protocol::parse_request(
-      "{\"type\":\"search\",\"workload\":\"D\",\"shards\":16}", &req,
-      &error))
-      << error;
-  EXPECT_EQ(req.shards, protocol::kMaxShards);
-
-  // Zero, past the cap, non-integral and non-numeric all reject with an
-  // error naming the field (a bad worker count must not silently fall
-  // back to serial execution).
-  const char* bad[] = {
-      "{\"type\":\"sweep\",\"workload\":\"D\",\"shards\":0}",
-      "{\"type\":\"sweep\",\"workload\":\"D\",\"shards\":17}",
-      "{\"type\":\"search\",\"workload\":\"D\",\"shards\":0}",
-      "{\"type\":\"sweep\",\"workload\":\"D\",\"shards\":2.5}",
-      "{\"type\":\"sweep\",\"workload\":\"D\",\"shards\":\"four\"}",
+// v1 clients may still send "shards", a retired per-request worker count
+// that never changed a served byte. The protocol ignores fields it does not
+// read, so any value parses to the same request as the body without it.
+TEST(Protocol, IgnoresRetiredShardsField) {
+  // The parsed fields the bodies below set, in one comparable list.
+  auto fields = [](const Request& r) {
+    const dse::SearchSpec& s = r.search;
+    std::vector<std::string> out = {
+        r.workload, std::to_string(r.scale), s.workload,
+        std::to_string(s.scale), dse::objective_name(s.objective),
+        std::to_string(s.budget), std::to_string(s.seed),
+        std::to_string(s.space.size())};
+    for (const auto& p : r.points) out.push_back(p.label());
+    for (const auto& v : {s.space.islands, s.space.rings, s.space.ports}) {
+      for (const std::uint32_t x : v) out.push_back(std::to_string(x));
+    }
+    for (const std::uint64_t w : s.space.widths) {
+      out.push_back(std::to_string(w));
+    }
+    return out;
   };
-  for (const char* text : bad) {
-    error.clear();
-    EXPECT_FALSE(protocol::parse_request(text, &req, &error)) << text;
-    EXPECT_NE(error.find("shards"), std::string::npos) << text;
+  const std::string bodies[] = {
+      "\"type\":\"sweep\",\"workload\":\"Denoise\",\"scale\":0.03,"
+      "\"points\":[{\"islands\":6,\"net\":\"proxy\"},{\"islands\":12}]",
+      "\"type\":\"search\",\"workload\":\"Deblur\",\"scale\":0.05,"
+      "\"budget\":8,\"seed\":3,"
+      "\"space\":{\"islands\":[3,6],\"rings\":[1,2],\"widths\":[16]}",
+  };
+  for (const std::string& body : bodies) {
+    Request want;
+    std::string error;
+    ASSERT_TRUE(protocol::parse_request("{" + body + "}", &want, &error))
+        << error;
+    for (const char* shards : {"4", "17", "2.5", "\"four\""}) {
+      const std::string text = "{" + body + ",\"shards\":" + shards + "}";
+      Request got;
+      ASSERT_TRUE(protocol::parse_request(text, &got, &error))
+          << text << ": " << error;
+      EXPECT_EQ(got.kind, want.kind) << text;
+      EXPECT_EQ(got.scale, want.scale) << text;
+      EXPECT_EQ(got.search.scale, want.search.scale) << text;
+      EXPECT_EQ(fields(got), fields(want)) << text;
+    }
   }
 }
 

@@ -55,26 +55,6 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(s.now(), 6u);
 }
 
-TEST(Simulator, RunUntilStopsAtLimit) {
-  Simulator s;
-  int fired = 0;
-  s.schedule_at(10, [&] { ++fired; });
-  s.schedule_at(100, [&] { ++fired; });
-  EXPECT_FALSE(s.run_until(50));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(s.now(), 50u);
-  EXPECT_TRUE(s.run_until(1000));
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Simulator, RunUntilExecutesEventsAtLimit) {
-  Simulator s;
-  int fired = 0;
-  s.schedule_at(50, [&] { ++fired; });
-  EXPECT_TRUE(s.run_until(50));
-  EXPECT_EQ(fired, 1);
-}
-
 TEST(Simulator, CountsEvents) {
   Simulator s;
   for (int i = 0; i < 7; ++i) s.schedule_at(i, [] {});

@@ -9,14 +9,7 @@
 //  2. design-point cross-check — check::generate_point samples a valid
 //     random ArchConfig + Workload and check::cross_check runs it with
 //     runtime invariants enabled at jobs 1/2/8 plus a cached-vs-fresh
-//     ResultCache pass, requiring bit-identical results throughout;
-//  3. sharded replica — check::shard_cross_check re-runs the point under
-//     the partitioned kernel at shards 2/4 (byte-compared against serial),
-//     cross-checks a seed-derived cross-traffic script through
-//     sim::ShardedSimulator at workers 1/2/4 by dispatch checksum, and
-//     proves the negative probes (injected merge inversion, lookahead
-//     violation) are caught. --shard-only runs just this layer (the
-//     `shard` ctest tier).
+//     ResultCache pass, requiring bit-identical results throughout.
 //
 // A failing seed is greedily minimized (halving invocation count, DFG
 // size, then island count while the failure reproduces) and written as a
@@ -135,7 +128,6 @@ struct Options {
   std::string repro_dir = "fuzz_repros";
   int kernel_events = 1500;
   bool verbose = false;
-  bool shard_only = false;
 };
 
 bool parse_u64(const char* s, std::uint64_t* out) {
@@ -152,7 +144,6 @@ int usage(int code) {
          "  --seed-base N   first seed (default 1)\n"
          "  --repro-dir D   directory for failing-seed repro files\n"
          "                  (default fuzz_repros)\n"
-         "  --shard-only    run only the sharded-replica layer\n"
          "  --verbose       per-seed progress\n";
   return code;
 }
@@ -169,8 +160,6 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") return usage(0);
     if (arg == "--verbose") {
       opt.verbose = true;
-    } else if (arg == "--shard-only") {
-      opt.shard_only = true;
     } else if (arg == "--seeds") {
       if (!parse_u64(value(), &opt.seeds)) return usage(2);
     } else if (arg == "--seed-base") {
@@ -188,46 +177,21 @@ int main(int argc, char** argv) {
   namespace check = ara::check;
   std::uint64_t kernel_failures = 0;
   std::uint64_t point_failures = 0;
-  std::uint64_t shard_failures = 0;
 
   for (std::uint64_t s = opt.seed_base; s < opt.seed_base + opt.seeds; ++s) {
     const check::FuzzLimits full{};
     check::FuzzPoint point = check::generate_point(s, full);
 
-    if (!opt.shard_only) {
-      // Layer 1: dispatch-order differential against the legacy kernel.
-      const std::uint64_t new_sum =
-          dispatch_checksum<ara::sim::Simulator>(s, opt.kernel_events);
-      const std::uint64_t old_sum =
-          dispatch_checksum<LegacyKernel>(s, opt.kernel_events);
-      if (new_sum != old_sum) {
-        ++kernel_failures;
-        std::cerr << "seed " << s << ": KERNEL DIVERGENCE — calendar queue "
-                  << std::hex << new_sum << " vs legacy replica " << old_sum
-                  << std::dec << "\n";
-      }
-    }
-
-    // Layer 3: sharded replica of the same point through the partitioned
-    // kernel, plus the kernel-level checksum differential.
-    const std::string sharded = check::shard_cross_check(point);
-    if (!sharded.empty()) {
-      ++shard_failures;
-      std::error_code ec;
-      std::filesystem::create_directories(opt.repro_dir, ec);
-      const std::string path =
-          opt.repro_dir + "/shard-" + std::to_string(s) + ".txt";
-      std::ofstream repro(path);
-      repro << check::repro_text(point, full, sharded);
-      std::cerr << "seed " << s << ": SHARD FAIL — " << sharded
-                << "; repro: " << path << "\n";
-    }
-    if (opt.shard_only) {
-      if (opt.verbose && sharded.empty()) {
-        std::cout << "seed " << s << ": shard ok ("
-                  << point.config.num_islands << " islands)\n";
-      }
-      continue;
+    // Layer 1: dispatch-order differential against the legacy kernel.
+    const std::uint64_t new_sum =
+        dispatch_checksum<ara::sim::Simulator>(s, opt.kernel_events);
+    const std::uint64_t old_sum =
+        dispatch_checksum<LegacyKernel>(s, opt.kernel_events);
+    if (new_sum != old_sum) {
+      ++kernel_failures;
+      std::cerr << "seed " << s << ": KERNEL DIVERGENCE — calendar queue "
+                << std::hex << new_sum << " vs legacy replica " << old_sum
+                << std::dec << "\n";
     }
 
     // Layer 2: full-system differential with invariants on.
@@ -283,7 +247,6 @@ int main(int argc, char** argv) {
   std::cout << "ara_fuzz: " << opt.seeds << " seeds, "
             << (opt.seeds - point_failures) << " clean, " << point_failures
             << " point failures, " << kernel_failures
-            << " kernel divergences, " << shard_failures
-            << " shard divergences\n";
-  return (point_failures + kernel_failures + shard_failures) == 0 ? 0 : 1;
+            << " kernel divergences\n";
+  return (point_failures + kernel_failures) == 0 ? 0 : 1;
 }

@@ -72,8 +72,6 @@ void usage() {
       "  --budget N       search evaluation budget (default 16)\n"
       "  --seed N         search sampler seed (default 1)\n"
       "  --scale F        search invocation scale factor (default 0.25)\n"
-      "  --shards N       partitioned-kernel workers per simulated point\n"
-      "                   (default 1; served bytes identical either way)\n"
       "  --watch          poll stats and render live rates/deltas\n"
       "  --interval-ms N  watch poll interval (default 1000)\n"
       "  --count N        stop watching after N ticks (default 0 = forever)\n"
@@ -173,7 +171,6 @@ int main(int argc, char** argv) {
   std::uint64_t budget = 16;
   std::uint64_t seed = 1;
   std::string scale_text;
-  std::uint64_t shards = 1;
   unsigned interval_ms = 1000;
   std::uint64_t count = 0;
   for (int i = 1; i < argc; ++i) {
@@ -216,17 +213,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       (arg == "--budget" ? budget : seed) = v;
-    } else if (arg == "--shards") {
-      const std::string value = next();
-      unsigned long long v = 0;
-      if (!parse_count(value, &v) || v == 0 ||
-          v > serve::protocol::kMaxShards) {
-        std::cerr << "--shards: expected an integer between 1 and "
-                  << serve::protocol::kMaxShards << ", got '" << value
-                  << "'\n";
-        return 2;
-      }
-      shards = v;
     } else if (arg == "--watch") {
       watch_mode = true;
     } else if (arg == "--interval-ms" || arg == "--count") {
@@ -269,7 +255,7 @@ int main(int argc, char** argv) {
     os << "\",\"objective\":\"";
     obs::json_escape(os, objective);
     os << "\",\"budget\":" << budget << ",\"seed\":" << seed
-       << ",\"shards\":" << shards << ",\"scale\":";
+       << ",\"scale\":";
     obs::json_number(os, scale, 17);
     os << "}";
     request = os.str();
