@@ -11,8 +11,7 @@
 //
 // Threading model (see README "Threading model"): one Simulator per thread,
 // no cross-thread event scheduling, no shared mutable simulator state. The
-// only process-wide state the simulator touches — the log level and the log
-// output stream — is atomic/mutex-protected in sim/log.cc.
+// only process-wide state is check::enabled()'s override, an atomic.
 #pragma once
 
 #include <cstddef>

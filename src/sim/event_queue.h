@@ -6,16 +6,10 @@
 // secondary sequence number: two events at the same tick always run in the
 // order they were scheduled, independent of queue internals.
 //
-// Hot-path design (see DESIGN.md "Event kernel internals"):
-//  - Entries are slab-allocated and recycled through an intrusive free
-//    list; scheduling an event performs no heap allocation once the slabs
-//    are warm (callback captures up to EventCallback::kInlineBytes are
-//    stored in place too).
-//  - The pending set is a two-level calendar queue: a power-of-two wheel of
-//    per-tick FIFO buckets covers the near future (where almost every event
-//    of a simulation lands), and a (tick, seq) min-heap holds the overflow
-//    beyond the wheel horizon. Events migrate from the heap into the wheel
-//    as the window advances, preserving (tick, seq) order exactly.
+// The pending set is one binary min-heap on (tick, seq) (DESIGN.md "Event
+// kernel"). A design point dispatches a few hundred to a few thousand
+// events, each of which makes many link reservations, so the kernel is a
+// negligible share of a run and is kept as simple as the contract allows.
 //
 // Self-profiling: every event carries an EventKind tag; the kernel always
 // counts dispatches per kind, and — when set_self_profiling(true) — also
@@ -26,19 +20,16 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
-#include "sim/event_callback.h"
 
 namespace ara::sim {
 
 /// Callback type executed when an event fires. Events are one-shot.
-using EventFn = EventCallback;
+using EventFn = std::function<void()>;
 
 /// Thrown by Simulator::schedule_at for `at < now()`: an event in the past
 /// can never be dispatched in (tick, seq) order, so the old behaviour of
@@ -83,13 +74,13 @@ class Simulator {
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-  ~Simulator();
 
   /// Current simulation time in ticks.
   Tick now() const { return now_; }
 
   /// Schedule `fn` to run at absolute tick `at`. Throws ScheduleError when
-  /// `at < now()` — see ScheduleError for why this is never clamped.
+  /// `at < now()` — see ScheduleError for why this is never clamped — or
+  /// when `fn` is empty.
   void schedule_at(Tick at, EventFn fn, EventKind kind = EventKind::kOther);
 
   /// Schedule `fn` to run `delay` ticks from now.
@@ -114,7 +105,7 @@ class Simulator {
   std::uint64_t events_scheduled() const { return next_seq_; }
 
   /// Number of events still pending.
-  std::size_t pending() const { return size_; }
+  std::size_t pending() const { return queue_.size(); }
 
   /// Install a synchronous observer called once every `every` dispatched
   /// events, after the event's callback has run. The observer executes
@@ -136,56 +127,26 @@ class Simulator {
     return kind_stats_;
   }
 
-  /// Events whose callback captures spilled to the heap (larger than
-  /// EventCallback::kInlineBytes). A rising value means a scheduler grew a
-  /// capture past the inline budget.
-  std::uint64_t heap_callbacks() const { return heap_callbacks_; }
-
  private:
-  // Wheel geometry: one bucket per tick over a 4096-tick window. The
-  // simulator's schedule pattern is overwhelmingly near-future (DMA chunk
-  // completions, link grants, pipeline stages), so nearly every event is a
-  // bucket append + pop; only long sleeps (trace samplers, interrupt
-  // delivery across an idle stretch) touch the overflow heap.
-  static constexpr std::size_t kWheelBits = 12;
-  static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
-  static constexpr Tick kWheelMask = kWheelSize - 1;
-  static constexpr std::size_t kSlabEntries = 256;
-
   struct Entry {
     Tick at = 0;
     std::uint64_t seq = 0;
-    Entry* next = nullptr;  // intrusive: bucket FIFO chain or free list
     EventKind kind = EventKind::kOther;
-    EventCallback fn;
+    EventFn fn;
   };
 
-  /// Per-tick FIFO; all entries in one bucket share the same tick, so
-  /// append-at-tail preserves seq order.
-  struct Bucket {
-    Entry* head = nullptr;
-    Entry* tail = nullptr;
-  };
-
-  struct OverflowLater {
-    bool operator()(const Entry* a, const Entry* b) const {
-      if (a->at != b->at) return a->at > b->at;
-      return a->seq > b->seq;
+  /// Heap comparator: the std::*_heap algorithms keep the greatest entry at
+  /// the front, so "greater" must mean "runs earlier".
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.at != b.at) return a.at > b.at;
+      return a.seq > b.seq;
     }
   };
-
-  Entry* alloc_entry();
-  void free_entry(Entry* e);
-  void bucket_append(Entry* e);
-  /// Pull overflow entries that now fall inside the wheel window. Only
-  /// called when the target buckets are empty of older-seq entries, so
-  /// popping the heap in (tick, seq) order keeps every bucket sorted.
-  void migrate_overflow();
 
   Tick now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  std::uint64_t heap_callbacks_ = 0;
   bool self_profiling_ = false;
   std::array<EventKindStats, kNumEventKinds> kind_stats_{};
 
@@ -194,19 +155,8 @@ class Simulator {
   std::uint64_t observer_period_ = 0;
   std::uint64_t observer_next_ = 0;
 
-  // --- pending set ---
-  std::size_t size_ = 0;         // wheel + overflow
-  std::size_t wheel_count_ = 0;  // entries currently in buckets
-  /// The wheel window is [wheel_base_, wheel_base_ + kWheelSize); cursor_
-  /// is the lowest tick whose bucket may still hold entries.
-  Tick wheel_base_ = 0;
-  Tick cursor_ = 0;
-  std::vector<Bucket> buckets_ = std::vector<Bucket>(kWheelSize);
-  std::priority_queue<Entry*, std::vector<Entry*>, OverflowLater> overflow_;
-
-  // --- slab allocator ---
-  std::vector<std::unique_ptr<Entry[]>> slabs_;
-  Entry* free_list_ = nullptr;
+  /// Pending events, a binary heap ordered by Later.
+  std::vector<Entry> queue_;
 };
 
 }  // namespace ara::sim

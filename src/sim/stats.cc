@@ -62,12 +62,6 @@ const Counter* StatRegistry::find_counter(const std::string& name) const {
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
-const Accumulator* StatRegistry::find_accumulator(
-    const std::string& name) const {
-  auto it = accumulators_.find(name);
-  return it == accumulators_.end() ? nullptr : it->second.get();
-}
-
 std::uint64_t StatRegistry::counter_sum_by_prefix(
     const std::string& prefix) const {
   std::uint64_t sum = 0;

@@ -94,7 +94,6 @@ class StatRegistry {
 
   /// Lookup without creation; nullptr when absent.
   const Counter* find_counter(const std::string& name) const;
-  const Accumulator* find_accumulator(const std::string& name) const;
 
   /// Raise `name` to the absolute value `value` (create-or-fetch). Used by
   /// end-of-run roll-ups that copy totals tracked in component members into

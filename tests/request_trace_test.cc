@@ -241,7 +241,7 @@ TEST(RequestLog, AppendsJsonlAndRotatesAtMaxBytes) {
 
   // Every line in both files is a complete, valid JSON object.
   std::size_t lines = 0;
-  for (const std::string file : {path, path + ".1"}) {
+  for (const std::string& file : {path, path + ".1"}) {
     std::ifstream in(file);
     std::string line;
     while (std::getline(in, line)) {

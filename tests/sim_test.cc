@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -77,9 +78,8 @@ TEST(Simulator, SchedulePastThrows) {
   EXPECT_EQ(s.events_processed(), 2u);
 }
 
-// An event thrown far beyond the calendar-queue wheel horizon lands in the
-// overflow heap and must migrate back into the wheel, in order, as the
-// window slides forward. 4096 is the wheel size; use several multiples.
+// Events scheduled out of order, thousands to a hundred thousand ticks
+// apart, must still dispatch in tick order.
 TEST(Simulator, FarFutureEventsMigrateFromOverflowInOrder) {
   Simulator s;
   std::vector<Tick> fired;
@@ -96,16 +96,15 @@ TEST(Simulator, FarFutureEventsMigrateFromOverflowInOrder) {
   EXPECT_EQ(s.now(), 100000u);
 }
 
-// Same-tick events split between the wheel and the overflow heap (scheduled
-// before and after the window covered the tick) must still run in schedule
-// order once they meet in the same bucket.
+// Same-tick events scheduled at very different times (one far ahead of the
+// tick, two from an event much closer to it) must still run in schedule
+// order.
 TEST(Simulator, OverflowAndWheelInterleaveBySeq) {
   Simulator s;
   std::vector<int> order;
-  // Tick 5000 is beyond the initial window: goes to overflow.
   s.schedule_at(5000, [&] { order.push_back(0); });
-  // Advance time so 5000 falls inside the wheel window, then schedule two
-  // more events at the same tick, which append to the (migrated) bucket.
+  // Advance time to 2000, then schedule two more events at the same tick;
+  // their larger sequence numbers must put them after the first.
   s.schedule_at(2000, [&] {
     s.schedule_at(5000, [&] { order.push_back(1); });
     s.schedule_at(5000, [&] { order.push_back(2); });
@@ -116,8 +115,7 @@ TEST(Simulator, OverflowAndWheelInterleaveBySeq) {
 
 // Randomized stress: the kernel must agree with a trivial reference model
 // (a stable-sorted (tick, seq) list) on the exact dispatch sequence,
-// including events scheduled from within events and ticks far past the
-// wheel horizon.
+// including events scheduled from within events, near and far-apart ticks.
 TEST(Simulator, RandomStressMatchesReferenceModel) {
   using Ref = std::pair<Tick, std::uint64_t>;  // (tick, insertion seq)
 
@@ -130,9 +128,9 @@ TEST(Simulator, RandomStressMatchesReferenceModel) {
   for (std::uint64_t seq = 0; seq < 2000; ++seq) {
     Tick at = 0;
     switch (rng.next_below(3)) {
-      case 0: at = rng.next_below(64); break;       // near buckets
-      case 1: at = rng.next_below(4096); break;     // whole wheel window
-      default: at = rng.next_below(100000); break;  // overflow heap
+      case 0: at = rng.next_below(64); break;       // dense same-tick ties
+      case 1: at = rng.next_below(4096); break;     // near future
+      default: at = rng.next_below(100000); break;  // far future
     }
     ref.push({at, seq});
     s.schedule_at(at, [&fired, at, seq] { fired.push_back({at, seq}); });
@@ -144,16 +142,16 @@ TEST(Simulator, RandomStressMatchesReferenceModel) {
     ref.pop();
   }
 
-  // Pass 2: events that reschedule successors at random horizons while the
-  // window slides. Dispatch ticks must be monotonically non-decreasing and
-  // the queue must drain completely.
+  // Pass 2: events that reschedule successors at random horizons while time
+  // advances. Dispatch ticks must be monotonically non-decreasing and the
+  // queue must drain completely.
   Simulator s2;
   Rng rng2(12345);
   auto random_delay = [&rng2]() -> Tick {
     switch (rng2.next_below(4)) {
       case 0: return rng2.next_below(8);             // same/near tick
-      case 1: return rng2.next_below(512);           // inside the wheel
-      case 2: return 4096 + rng2.next_below(4096);   // just past horizon
+      case 1: return rng2.next_below(512);           // near future
+      case 2: return 4096 + rng2.next_below(4096);   // mid future
       default: return rng2.next_below(50000);        // far future
     }
   };
@@ -176,23 +174,34 @@ TEST(Simulator, RandomStressMatchesReferenceModel) {
   EXPECT_EQ(when.size(), 500u);  // 100 roots + 400 spawned
 }
 
-// Callback small-buffer optimization telemetry: small captures stay inline,
-// oversized captures are counted as heap spills.
-TEST(Simulator, CountsHeapCallbacks) {
+// A callback is destroyed as soon as it returns, so its captures die with
+// their event; a still-pending event keeps its own captures alive.
+TEST(Simulator, ReleasesCapturesAfterDispatch) {
   Simulator s;
-  int x = 0;
-  s.schedule_at(1, [&x] { ++x; });  // one pointer: inline
-  s.run();
-  EXPECT_EQ(s.heap_callbacks(), 0u);
+  auto first = std::make_shared<int>(1);
+  auto second = std::make_shared<int>(2);
+  s.schedule_at(1, [first] { EXPECT_EQ(*first, 1); });
+  s.schedule_at(2, [second] { EXPECT_EQ(*second, 2); });
+  EXPECT_EQ(first.use_count(), 2);
+  EXPECT_EQ(second.use_count(), 2);
+  ASSERT_TRUE(s.step());
+  EXPECT_EQ(first.use_count(), 1);
+  EXPECT_EQ(second.use_count(), 2);
+  ASSERT_TRUE(s.step());
+  EXPECT_EQ(second.use_count(), 1);
+}
 
-  struct Fat {
-    char pad[2 * EventCallback::kInlineBytes] = {};
-  };
-  Fat fat;
-  s.schedule_at(s.now(), [fat, &x] { x += static_cast<int>(sizeof(fat)); });
+// An empty callback is a caller bug: it is rejected before it takes a
+// sequence number, so the kernel's counters do not move.
+TEST(Simulator, RejectsEmptyCallback) {
+  Simulator s;
+  s.schedule_at(1, [] {});
+  EXPECT_THROW(s.schedule_at(2, EventFn{}), ScheduleError);
+  EXPECT_THROW(s.schedule_in(2, EventFn{}), ScheduleError);
+  EXPECT_EQ(s.events_scheduled(), 1u);
+  EXPECT_EQ(s.pending(), 1u);
   s.run();
-  EXPECT_EQ(s.heap_callbacks(), 1u);
-  EXPECT_GT(x, 0);
+  EXPECT_EQ(s.events_processed(), 1u);
 }
 
 // The self-profiling switch must not change dispatch counts, only add

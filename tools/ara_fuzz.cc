@@ -3,9 +3,8 @@
 // For every seed in [--seed-base, --seed-base + --seeds):
 //  1. kernel replica check — a randomized schedule (including events that
 //     schedule follow-up events) is dispatched through the production
-//     calendar-queue Simulator and through a legacy std::function +
-//     priority_queue replica; their (id, tick) dispatch checksums must
-//     match exactly;
+//     Simulator and through an independent std::priority_queue reference;
+//     their (id, tick) dispatch checksums must match exactly;
 //  2. design-point cross-check — check::generate_point samples a valid
 //     random ArchConfig + Workload and check::cross_check runs it with
 //     runtime invariants enabled at jobs 1/2/8 plus a cached-vs-fresh
@@ -33,10 +32,10 @@ namespace {
 
 using ara::Tick;
 
-/// The pre-PR3 event kernel: heap-allocated std::function callbacks on a
-/// (tick, seq) priority queue. Semantically the reference implementation of
-/// the dispatch-order contract; kept here (not in the library) because its
-/// only job is to disagree with the calendar queue when one of them breaks.
+/// Reference implementation of the dispatch-order contract: std::function
+/// callbacks on a (tick, seq) std::priority_queue, written independently of
+/// sim::Simulator. Kept here (not in the library) because its only job is
+/// to disagree with the production kernel when one of them breaks.
 class LegacyKernel {
  public:
   Tick now() const { return now_; }
@@ -77,9 +76,9 @@ class LegacyKernel {
 
 /// FNV-1a over the (event id, dispatch tick) sequence of a randomized
 /// schedule. Both kernels run the identical script: `initial` root events
-/// at random ticks (some far enough out to exercise the calendar queue's
-/// overflow heap), and every event deterministically decides — from its id
-/// alone — whether to schedule up to two follow-ups relative to now().
+/// at random ticks (most near, some tens of thousands of ticks out), and
+/// every event deterministically decides — from its id alone — whether to
+/// schedule up to two follow-ups relative to now().
 template <class Kernel>
 std::uint64_t dispatch_checksum(std::uint64_t seed, int initial) {
   Kernel kernel;
@@ -111,8 +110,8 @@ std::uint64_t dispatch_checksum(std::uint64_t seed, int initial) {
   ara::sim::Rng rng(seed);
   for (int i = 0; i < initial; ++i) {
     const std::uint64_t id = static_cast<std::uint64_t>(i) + 1;
-    // Mostly near-future (wheel), with a tail beyond the 4096-tick window
-    // (overflow heap) — the migration boundary is where order bugs live.
+    // Mostly near-future, with a far-future tail, so events scheduled
+    // early and late interleave at the same ticks.
     const Tick at = rng.next_bool(0.85) ? rng.next_below(3000)
                                         : 3000 + rng.next_below(40000);
     kernel.schedule_at(at, [&, id] { arm(id, 0); });
@@ -189,7 +188,7 @@ int main(int argc, char** argv) {
         dispatch_checksum<LegacyKernel>(s, opt.kernel_events);
     if (new_sum != old_sum) {
       ++kernel_failures;
-      std::cerr << "seed " << s << ": KERNEL DIVERGENCE — calendar queue "
+      std::cerr << "seed " << s << ": KERNEL DIVERGENCE — simulator "
                 << std::hex << new_sum << " vs legacy replica " << old_sum
                 << std::dec << "\n";
     }

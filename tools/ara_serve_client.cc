@@ -2,13 +2,14 @@
 //
 // One-shot mode sends a single request frame and prints the response
 // payload (JSON) to stdout. Useful for poking a server by hand and as the
-// building block of shell-driven checks:
+// building block of shell-driven checks (an indented line continues the
+// command above it):
 //
 //   ara_serve_client --socket /tmp/ara.sock --ping
 //   ara_serve_client --socket /tmp/ara.sock --stats
-//   ara_serve_client --socket /tmp/ara.sock \
+//   ara_serve_client --socket /tmp/ara.sock
 //       --json '{"type":"sweep","workload":"Denoise","scale":0.05}'
-//   ara_serve_client --socket /tmp/ara.sock \
+//   ara_serve_client --socket /tmp/ara.sock
 //       --search Denoise --objective perf --budget 12 --seed 7
 //
 // Outgoing frames are validated through the same protocol registry the
