@@ -142,16 +142,6 @@ void ablation_extra() {
   }
 }
 
-void micro_config_clone(benchmark::State& state) {
-  const auto base = ara::core::ArchConfig::best_config();
-  for (auto _ : state) {
-    auto copy = base;
-    copy.force_per_task = true;
-    benchmark::DoNotOptimize(copy.summary().size());
-  }
-}
-BENCHMARK(micro_config_clone);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -159,6 +149,4 @@ int main(int argc, char** argv) {
   ablation();
   ablation_extra();
   ara::benchutil::MetricsSink::instance().export_to(cli.metrics_file);
-  std::cout << "\n";
-  return ara::benchutil::run_micro(argc, argv);
 }

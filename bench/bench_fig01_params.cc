@@ -39,22 +39,10 @@ void fig01() {
             << " MHz max (paper: 11.41 mW @ 500 MHz)\n";
 }
 
-void micro_pipeline_model(benchmark::State& state) {
-  ara::power::PipelineParams p;
-  ara::power::InstructionMix m;
-  for (auto _ : state) {
-    ara::power::McPatLikePipeline model(p, m);
-    benchmark::DoNotOptimize(model.total_pj());
-  }
-}
-BENCHMARK(micro_pipeline_model);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto cli = ara::benchutil::parse_cli(argc, argv);
   fig01();
   ara::benchutil::MetricsSink::instance().export_to(cli.metrics_file);
-  std::cout << "\n";
-  return ara::benchutil::run_micro(argc, argv);
 }

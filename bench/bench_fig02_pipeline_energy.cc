@@ -45,25 +45,10 @@ void fig02() {
             << " pJ\n";
 }
 
-void micro_breakdown(benchmark::State& state) {
-  ara::power::McPatLikePipeline model{ara::power::PipelineParams{},
-                                      ara::power::InstructionMix{}};
-  for (auto _ : state) {
-    double sum = 0;
-    for (std::size_t i = 0; i < ara::power::kNumPipeComponents; ++i) {
-      sum += model.share(static_cast<ara::power::PipeComponent>(i));
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(micro_breakdown);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto cli = ara::benchutil::parse_cli(argc, argv);
   fig02();
   ara::benchutil::MetricsSink::instance().export_to(cli.metrics_file);
-  std::cout << "\n";
-  return ara::benchutil::run_micro(argc, argv);
 }

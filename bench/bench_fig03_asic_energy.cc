@@ -45,22 +45,10 @@ void fig03() {
             << dse::Table::pct(1 - compute - memory) << "\n";
 }
 
-void micro_substitution(benchmark::State& state) {
-  ara::power::McPatLikePipeline model{ara::power::PipelineParams{},
-                                      ara::power::InstructionMix{}};
-  for (auto _ : state) {
-    auto asic = model.with_asic_compute_units(0.97);
-    benchmark::DoNotOptimize(asic.savings_share());
-  }
-}
-BENCHMARK(micro_substitution);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto cli = ara::benchutil::parse_cli(argc, argv);
   fig03();
   ara::benchutil::MetricsSink::instance().export_to(cli.metrics_file);
-  std::cout << "\n";
-  return ara::benchutil::run_micro(argc, argv);
 }

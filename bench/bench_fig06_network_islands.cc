@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/system.h"
-#include "dse/parallel_sweep.h"
 #include "dse/sweep.h"
 #include "dse/table.h"
 #include "workloads/registry.h"
@@ -93,33 +91,9 @@ void fig06(unsigned jobs) {
     t.add_row(std::move(row));
   }
   t.print(std::cout);
-  benchutil::print_sweep_stats(results, wall_s,
-                               benchutil::resolved_jobs(jobs));
+  benchutil::print_sweep_stats(results, wall_s, jobs);
   benchutil::MetricsSink::instance().record_sweep(labels, results);
 }
-
-void micro_system_build(benchmark::State& state) {
-  for (auto _ : state) {
-    ara::core::System system(ara::core::ArchConfig::paper_baseline(12));
-    benchmark::DoNotOptimize(system.islands_area_mm2());
-  }
-}
-BENCHMARK(micro_system_build);
-
-// Full Fig. 6-style sweep at small scale with 1 vs N workers: the ratio of
-// the two timings is the realized parallel speedup on this machine.
-void micro_parallel_sweep(benchmark::State& state) {
-  auto wl = ara::workloads::make_benchmark("Denoise", 0.05);
-  ara::dse::SweepRequest request;
-  for (std::uint32_t islands : ara::dse::paper_island_counts()) {
-    request.add_points(ara::dse::paper_network_configs(islands), wl);
-  }
-  request.jobs = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ara::dse::run(request).size());
-  }
-}
-BENCHMARK(micro_parallel_sweep)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
@@ -127,6 +101,4 @@ int main(int argc, char** argv) {
   const auto cli = ara::benchutil::parse_cli(argc, argv);
   fig06(cli.jobs);
   ara::benchutil::MetricsSink::instance().export_to(cli.metrics_file);
-  std::cout << "\n";
-  return ara::benchutil::run_micro(argc, argv);
 }

@@ -78,21 +78,10 @@ void fig10() {
             << " (paper 43.5%)\n";
 }
 
-void micro_cmp_model(benchmark::State& state) {
-  auto wl = ara::workloads::make_benchmark("Segmentation", 1.0);
-  ara::cmp::CmpModel model(ara::cmp::CmpConfig::xeon_e5_2420());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.run(wl).seconds);
-  }
-}
-BENCHMARK(micro_cmp_model);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto cli = ara::benchutil::parse_cli(argc, argv);
   fig10();
   ara::benchutil::MetricsSink::instance().export_to(cli.metrics_file);
-  std::cout << "\n";
-  return ara::benchutil::run_micro(argc, argv);
 }

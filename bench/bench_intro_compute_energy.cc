@@ -37,20 +37,10 @@ void intro_energy() {
   d.print(std::cout);
 }
 
-void micro_saving_factor(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ara::power::asic_saving_factor(ara::power::ComputeOp::kAdd32));
-  }
-}
-BENCHMARK(micro_saving_factor);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto cli = ara::benchutil::parse_cli(argc, argv);
   intro_energy();
   ara::benchutil::MetricsSink::instance().export_to(cli.metrics_file);
-  std::cout << "\n";
-  return ara::benchutil::run_micro(argc, argv);
 }

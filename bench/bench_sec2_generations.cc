@@ -114,20 +114,10 @@ void sec2() {
                "library)\n";
 }
 
-void micro_fused_profile(benchmark::State& state) {
-  auto wl = ara::workloads::make_benchmark("Deblur", 0.1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(wl.dfg.fused_profile().pipeline_latency);
-  }
-}
-BENCHMARK(micro_fused_profile);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto cli = ara::benchutil::parse_cli(argc, argv);
   sec2();
   ara::benchutil::MetricsSink::instance().export_to(cli.metrics_file);
-  std::cout << "\n";
-  return ara::benchutil::run_micro(argc, argv);
 }

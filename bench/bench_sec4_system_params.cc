@@ -76,19 +76,10 @@ void sec4() {
             << " (uniform across " << cfg.num_islands << " islands)\n";
 }
 
-void micro_mix_scaling(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ara::abb::scaled_mix(120).total());
-  }
-}
-BENCHMARK(micro_mix_scaling);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto cli = ara::benchutil::parse_cli(argc, argv);
   sec4();
   ara::benchutil::MetricsSink::instance().export_to(cli.metrics_file);
-  std::cout << "\n";
-  return ara::benchutil::run_micro(argc, argv);
 }

@@ -69,21 +69,10 @@ void sec51() {
   std::cout << "=> sharing is dismissed as a design choice (paper Sec. 5.1)\n";
 }
 
-void micro_area_formulas(benchmark::State& state) {
-  const auto& poly = ara::abb::params(ara::abb::AbbKind::kPoly);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ara::power::abb_spm_xbar_area_mm2(
-        poly.min_spm_ports, poly.spm_bytes, true));
-  }
-}
-BENCHMARK(micro_area_formulas);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto cli = ara::benchutil::parse_cli(argc, argv);
   sec51();
   ara::benchutil::MetricsSink::instance().export_to(cli.metrics_file);
-  std::cout << "\n";
-  return ara::benchutil::run_micro(argc, argv);
 }

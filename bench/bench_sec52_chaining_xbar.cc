@@ -70,24 +70,10 @@ void sec52() {
                "an untenable area cost for large islands\n";
 }
 
-void micro_chain_transfer(benchmark::State& state) {
-  ara::island::SpmDmaNetConfig cfg;
-  cfg.topology = ara::island::SpmDmaTopology::kChainingXbar;
-  auto net = ara::island::make_spm_dma_net("bench", cfg, 40);
-  ara::Tick t = 0;
-  for (auto _ : state) {
-    t = net->chain(t, 0, 39, 512);
-    benchmark::DoNotOptimize(t);
-  }
-}
-BENCHMARK(micro_chain_transfer);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto cli = ara::benchutil::parse_cli(argc, argv);
   sec52();
   ara::benchutil::MetricsSink::instance().export_to(cli.metrics_file);
-  std::cout << "\n";
-  return ara::benchutil::run_micro(argc, argv);
 }

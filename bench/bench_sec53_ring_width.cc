@@ -53,26 +53,10 @@ void sec53() {
                "single ring to 64B buys little beyond block granularity)\n";
 }
 
-void micro_ring_transfer(benchmark::State& state) {
-  ara::island::SpmDmaNetConfig cfg;
-  cfg.topology = ara::island::SpmDmaTopology::kRing;
-  cfg.num_rings = 2;
-  cfg.link_bytes = 16;
-  auto net = ara::island::make_spm_dma_net("bench", cfg, 40);
-  ara::Tick t = 0;
-  for (auto _ : state) {
-    t = net->to_spm(t, 20, 512);
-    benchmark::DoNotOptimize(t);
-  }
-}
-BENCHMARK(micro_ring_transfer);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto cli = ara::benchutil::parse_cli(argc, argv);
   sec53();
   ara::benchutil::MetricsSink::instance().export_to(cli.metrics_file);
-  std::cout << "\n";
-  return ara::benchutil::run_micro(argc, argv);
 }

@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "core/system.h"
 #include "dse/sweep.h"
 #include "dse/table.h"
 #include "workloads/registry.h"
@@ -44,22 +43,10 @@ void sec54() {
             << "% (paper: \"very little ... if at all\")\n";
 }
 
-void micro_conflict_model(benchmark::State& state) {
-  ara::abb::AbbEngine exact(0, 0, ara::abb::AbbKind::kPoly, 5, 0.04);
-  ara::abb::AbbEngine doubled(0, 1, ara::abb::AbbKind::kPoly, 10, 0.04);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exact.compute_cycles(1024));
-    benchmark::DoNotOptimize(doubled.compute_cycles(1024));
-  }
-}
-BENCHMARK(micro_conflict_model);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto cli = ara::benchutil::parse_cli(argc, argv);
   sec54();
   ara::benchutil::MetricsSink::instance().export_to(cli.metrics_file);
-  std::cout << "\n";
-  return ara::benchutil::run_micro(argc, argv);
 }

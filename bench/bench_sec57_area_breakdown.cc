@@ -66,20 +66,10 @@ void sec57() {
   c.print(std::cout);
 }
 
-void micro_island_build(benchmark::State& state) {
-  for (auto _ : state) {
-    ara::core::System system(ara::core::ArchConfig::ring_design(3, 2, 32));
-    benchmark::DoNotOptimize(system.island(0).total_area_mm2());
-  }
-}
-BENCHMARK(micro_island_build);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto cli = ara::benchutil::parse_cli(argc, argv);
   sec57();
   ara::benchutil::MetricsSink::instance().export_to(cli.metrics_file);
-  std::cout << "\n";
-  return ara::benchutil::run_micro(argc, argv);
 }

@@ -1,26 +1,25 @@
 // Shared helpers for the figure/table reproduction benches.
 //
 // Every bench binary prints the paper artifact it regenerates (same rows /
-// series the paper reports, normalized the same way) and then runs a small
-// google-benchmark suite measuring the simulator machinery behind it.
-// ARA_BENCH_SCALE (env) scales workload invocation counts; default 0.5
-// keeps full-suite runtime moderate while leaving steady-state behaviour
-// unchanged. The shared flags — `--jobs N` (sweep workers), `--metrics F`
-// (stat-registry export) and `--cache DIR` (on-disk result memoization),
-// each with an ARA_* env fallback — are parsed once by parse_cli() via
-// common::CliOptions and stripped before google-benchmark sees argv.
+// series the paper reports, normalized the same way) and exits; host time
+// is measured by perfbench/, not here. ARA_BENCH_SCALE (env) scales
+// workload invocation counts; default 0.5 keeps full-suite runtime
+// moderate while leaving steady-state behaviour unchanged. The shared
+// flags — `--jobs N` (sweep workers), `--metrics F` (stat-registry
+// export), `--cache DIR` (on-disk result memoization) and `--check`
+// (invariant checking), each with an ARA_* env fallback — are parsed once
+// by parse_cli() via common::CliOptions, which rejects any other argument.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -30,7 +29,7 @@
 #include "dse/result_cache.h"
 #include "dse/sweep.h"
 #include "obs/metrics_export.h"
-#include "sim/event_queue.h"
+#include "workloads/registry.h"
 
 namespace ara::benchutil {
 
@@ -56,18 +55,29 @@ inline dse::ResultCache* sweep_cache() {
   return c.has_value() ? &*c : nullptr;
 }
 
-/// Parse and strip the shared bench flags (--jobs / --metrics / --cache /
-/// --check, with ARA_* env fallbacks) out of argv —
-/// google-benchmark rejects flags it does not know. A --cache directory
-/// activates sweep_cache(); --check arms the invariant checker on every
-/// simulated System. Exits 2 on a malformed value.
-inline common::CliOptions parse_cli(int& argc, char** argv) {
-  auto opts = common::CliOptions::parse(
-      argc, argv,
+/// Parse the shared bench flags (--jobs / --metrics / --cache / --check,
+/// with ARA_* env fallbacks) before any simulation runs. A --cache
+/// directory activates sweep_cache(); --check arms the invariant checker on
+/// every simulated System. `--help` prints the flags and exits 0; a
+/// malformed value or any other argument exits 2.
+inline common::CliOptions parse_cli(int argc, char** argv) {
+  constexpr unsigned kAccept =
       common::CliOptions::kJobs | common::CliOptions::kMetrics |
-          common::CliOptions::kCache | common::CliOptions::kCheck);
+      common::CliOptions::kCache | common::CliOptions::kCheck;
+  auto opts = common::CliOptions::parse(argc, argv, kAccept);
   if (!opts.ok()) {
     std::cerr << "error: " << opts.error << "\n";
+    std::exit(2);
+  }
+  if (argc > 1) {
+    const std::string_view arg = argv[1];
+    if (arg == "--help") {
+      std::cout << "usage: " << argv[0] << " [options]\n"
+                << common::CliOptions::help(kAccept);
+      std::exit(0);
+    }
+    std::cerr << "error: unknown argument '" << arg << "'\n"
+              << common::CliOptions::help(kAccept);
     std::exit(2);
   }
   if (!opts.cache_dir.empty()) {
@@ -75,13 +85,6 @@ inline common::CliOptions parse_cli(int& argc, char** argv) {
   }
   if (opts.check) check::set_enabled(true);
   return opts;
-}
-
-/// The worker count a SweepRequest with `jobs` actually runs with.
-inline unsigned resolved_jobs(unsigned jobs) {
-  if (jobs != 0) return jobs;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
 }
 
 /// Process-wide sink behind the --metrics flag: figure code records labeled
@@ -155,11 +158,12 @@ class WallTimer {
       std::chrono::steady_clock::now();
 };
 
-/// One-line observability summary for a parallel sweep: how many points, the
-/// wall-clock of the whole sweep vs the summed per-point wall time. Their
-/// ratio is the average number of points in flight (effective parallelism);
-/// it matches the realized speedup when workers get dedicated cores, and
-/// overstates it on an oversubscribed machine.
+/// One-line observability summary for a parallel sweep run with `jobs`
+/// (0 = hardware concurrency): how many points, the wall-clock of the
+/// whole sweep vs the summed per-point wall time. Their ratio is the
+/// average number of points in flight (effective parallelism); it matches
+/// the realized speedup when workers get dedicated cores, and overstates it
+/// on an oversubscribed machine.
 inline void print_sweep_stats(const std::vector<dse::SweepResult>& results,
                               double sweep_wall_s, unsigned jobs) {
   double point_s = 0;
@@ -171,7 +175,8 @@ inline void print_sweep_stats(const std::vector<dse::SweepResult>& results,
     if (r.from_cache) ++cached;
   }
   std::cout << "[sweep] " << results.size() << " points, " << events
-            << " events, jobs=" << jobs << ": " << sweep_wall_s
+            << " events, jobs=" << dse::ParallelSweepExecutor(jobs).jobs()
+            << ": " << sweep_wall_s
             << " s wall vs " << point_s << " s summed point time ("
             << (sweep_wall_s > 0 ? point_s / sweep_wall_s : 0)
             << "x effective parallelism)\n";
@@ -179,25 +184,46 @@ inline void print_sweep_stats(const std::vector<dse::SweepResult>& results,
     std::cout << "[sweep] " << cached << "/" << results.size()
               << " points served from the result cache\n";
   }
+}
 
-  // Simulator self-profile, summed over every point: dispatch counts per
-  // event kind (deterministic) and host wall-clock attribution (measured
-  // per event by the simulators, which run with self-profiling on).
-  std::array<sim::EventKindStats, sim::kNumEventKinds> kinds{};
-  for (const auto& r : results) {
-    for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
-      kinds[k].count += r.event_kinds[k].count;
-      kinds[k].seconds += r.event_kinds[k].seconds;
+/// The 70-point matrix behind Figs. 7, 8 and 9, which each report a
+/// different metric of it: every paper benchmark at 3 and 24 islands on
+/// each of the five paper networks. Results are island-count-major, then
+/// benchmark (`workloads` order), then network (dse::paper_network_configs
+/// order).
+struct NetworkMatrix {
+  static constexpr std::array<std::uint32_t, 2> kIslandCounts = {3, 24};
+  /// One workload per workloads::benchmark_names() entry, at bench_scale().
+  std::vector<workloads::Workload> workloads;
+  std::vector<dse::SweepResult> results;
+};
+
+/// Simulate the NetworkMatrix on `jobs` workers (through sweep_cache()),
+/// print the [sweep] summary and record every point in the MetricsSink.
+inline NetworkMatrix run_network_matrix(unsigned jobs) {
+  NetworkMatrix m;
+  for (const auto& name : workloads::benchmark_names()) {
+    m.workloads.push_back(workloads::make_benchmark(name, bench_scale()));
+  }
+  dse::SweepRequest request;
+  std::vector<std::string> labels;
+  for (std::uint32_t islands : NetworkMatrix::kIslandCounts) {
+    const auto points = dse::paper_network_configs(islands);
+    for (const auto& wl : m.workloads) {
+      for (const auto& p : points) {
+        request.sweep.push_back({p.config, &wl});
+        labels.push_back(wl.name + ", " + p.label + ", " +
+                         std::to_string(islands) + " islands");
+      }
     }
   }
-  std::cout << "[sweep] event profile:";
-  for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
-    if (kinds[k].count == 0) continue;
-    std::cout << " " << sim::event_kind_name(static_cast<sim::EventKind>(k))
-              << "=" << kinds[k].count << "/"
-              << static_cast<long>(kinds[k].seconds * 1e3) << "ms";
-  }
-  std::cout << "\n";
+  request.jobs = jobs;
+  request.cache = sweep_cache();
+  const WallTimer timer;
+  m.results = dse::run(request);
+  print_sweep_stats(m.results, timer.seconds(), jobs);
+  MetricsSink::instance().record_sweep(labels, m.results);
+  return m;
 }
 
 inline double norm(double value, double base) {
@@ -210,15 +236,6 @@ inline void print_header(const std::string& artifact,
             << "Reproduction of " << artifact << "\n"
             << "Paper reports: " << paper_summary << "\n"
             << "==============================================================\n";
-}
-
-/// Print + run the registered google-benchmark microbenchmarks.
-inline int run_micro(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
 }
 
 }  // namespace ara::benchutil

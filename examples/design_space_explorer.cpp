@@ -14,23 +14,21 @@
 //   --cache DIR     memoize design points on disk: a re-run of the same
 //                   sweep restores every point without simulating
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "check/check.h"
 #include "common/cli_options.h"
+#include "dse/parallel_sweep.h"
 #include "dse/result_cache.h"
 #include "dse/sweep.h"
 #include "dse/table.h"
 #include "obs/metrics_export.h"
-#include "sim/event_queue.h"
 #include "workloads/registry.h"
 
 namespace {
@@ -142,9 +140,7 @@ int main(int argc, char** argv) {
     events += s.events;
     if (s.from_cache) ++cached;
   }
-  const unsigned workers =
-      cli.jobs != 0 ? cli.jobs
-                    : std::max(1u, std::thread::hardware_concurrency());
+  const unsigned workers = dse::ParallelSweepExecutor(cli.jobs).jobs();
   std::cout << "\nswept " << sweep.size() << " design points ("
             << events << " simulator events) in "
             << dse::Table::num(wall_s, 2) << " s wall with "
@@ -158,24 +154,6 @@ int main(int argc, char** argv) {
               << cache.disk_hits() << " from disk, "
               << cache.misses() << " simulated and stored)\n";
   }
-
-  // Self-profile: where simulated time went, by event kind, summed over
-  // every point (counts are deterministic; seconds are host wall-clock).
-  std::array<sim::EventKindStats, sim::kNumEventKinds> kinds{};
-  for (const auto& s : sweep) {
-    for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
-      kinds[k].count += s.event_kinds[k].count;
-      kinds[k].seconds += s.event_kinds[k].seconds;
-    }
-  }
-  std::cout << "event dispatch profile:";
-  for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
-    if (kinds[k].count == 0) continue;
-    std::cout << " " << sim::event_kind_name(static_cast<sim::EventKind>(k))
-              << "=" << kinds[k].count << " ("
-              << dse::Table::num(kinds[k].seconds * 1e3, 0) << " ms)";
-  }
-  std::cout << "\n";
 
   if (!cli.metrics_file.empty()) {
     std::vector<std::pair<std::string, const obs::MetricsSnapshot*>> labeled;

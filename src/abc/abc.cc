@@ -119,7 +119,7 @@ bool Abc::fits_inventory(const dataflow::Dfg& dfg) const {
   for (const auto* isl : islands_) {
     sharing_anywhere |= isl->config().spm_sharing;
   }
-  if (sharing_anywhere && config_.enforce_sharing_constraint) {
+  if (sharing_anywhere) {
     return composable_on_empty_chip(dfg);
   }
   return true;
@@ -239,8 +239,7 @@ bool Abc::slot_matches(IslandId isl, AbbId a, const DfgNode& node) const {
 
 bool Abc::slot_allocatable(IslandId isl, AbbId a) const {
   if (offline_[isl] || active_[isl][a]) return false;
-  if (config_.enforce_sharing_constraint &&
-      islands_[isl]->config().spm_sharing) {
+  if (islands_[isl]->config().spm_sharing) {
     // Neighbour SPM sharing: an active neighbour owns part of this slot's
     // banks (Sec. 5.1: allocation "renders other near-by ABBs unusable").
     if (a > 0 && active_[isl][a - 1]) return false;
@@ -549,8 +548,7 @@ std::string Abc::audit_allocation(std::uint64_t* checks) const {
     if (active_[i].size() != islands_[i]->num_abbs())
       return done("island " + std::to_string(i) +
                   ": activity row does not match its ABB count");
-    if (config_.enforce_sharing_constraint &&
-        islands_[i]->config().spm_sharing) {
+    if (islands_[i]->config().spm_sharing) {
       for (AbbId a = 0; a + 1 < active_[i].size(); ++a) {
         tick();
         if (active_[i][a] && active_[i][a + 1])

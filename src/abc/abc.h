@@ -50,9 +50,6 @@ enum class ExecutionMode : std::uint8_t {
 
 struct AbcConfig {
   ExecutionMode mode = ExecutionMode::kComposable;
-  /// With SPM sharing (island config), an active ABB blocks its slot
-  /// neighbours; the ABC must honour that during allocation (Sec. 5.1).
-  bool enforce_sharing_constraint = true;
   /// Ablation: disable atomic virtual-accelerator composition and place
   /// every task individually when it becomes ready (spilling chains when
   /// consumers cannot be placed).

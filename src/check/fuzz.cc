@@ -22,14 +22,8 @@ constexpr std::uint64_t kDfgSalt = 0xa5a5a5a55a5a5a5aull;
 
 }  // namespace
 
-PointSampler::PointSampler(std::uint64_t seed) : rng_(seed ^ kPointSalt) {}
-
 FuzzPoint generate_point(std::uint64_t seed, const FuzzLimits& limits) {
-  // The sampler wraps the salted Rng stream generate_point always used;
-  // every draw below maps 1:1 onto the pre-PointSampler calls
-  // (next_below -> pick, next_bool -> chance, next_double -> unit), so
-  // the fuzz corpus for a given seed is unchanged.
-  PointSampler rng(seed);
+  sim::Rng rng(seed ^ kPointSalt);
   FuzzPoint p;
   p.seed = seed;
 
@@ -38,13 +32,13 @@ FuzzPoint generate_point(std::uint64_t seed, const FuzzLimits& limits) {
   const std::uint32_t max_islands =
       std::max<std::uint32_t>(1, std::min<std::uint32_t>(limits.max_islands, 24));
   cfg.num_islands =
-      1 + static_cast<std::uint32_t>(rng.pick(max_islands));
+      1 + static_cast<std::uint32_t>(rng.next_below(max_islands));
   // ABBs dealt evenly: total = islands x per-island keeps validate()'s
   // divisibility rule for every island count.
-  const std::uint32_t abbs_per_island = rng.chance(0.5) ? 5 : 10;
+  const std::uint32_t abbs_per_island = rng.next_bool(0.5) ? 5 : 10;
   cfg.total_abbs = cfg.num_islands * abbs_per_island;
 
-  switch (rng.pick(3)) {
+  switch (rng.next_below(3)) {
     case 0:
       cfg.island.net.topology = island::SpmDmaTopology::kProxyXbar;
       break;
@@ -56,25 +50,25 @@ FuzzPoint generate_point(std::uint64_t seed, const FuzzLimits& limits) {
       break;
   }
   cfg.island.net.num_rings =
-      1 + static_cast<std::uint32_t>(rng.pick(3));
-  cfg.island.net.link_bytes = rng.chance(0.5) ? 16 : 32;
-  cfg.island.spm_sharing = rng.chance(0.3);
-  cfg.island.spm_port_multiplier = rng.chance(0.5) ? 1 : 2;
-  cfg.island.tlb_enabled = rng.chance(0.8);
+      1 + static_cast<std::uint32_t>(rng.next_below(3));
+  cfg.island.net.link_bytes = rng.next_bool(0.5) ? 16 : 32;
+  cfg.island.spm_sharing = rng.next_bool(0.3);
+  cfg.island.spm_port_multiplier = rng.next_bool(0.5) ? 1 : 2;
+  cfg.island.tlb_enabled = rng.next_bool(0.8);
 
   cfg.mesh.link_bytes_per_cycle =
-      16.0 * static_cast<double>(1u << rng.pick(3));  // 16/32/64
-  cfg.mesh.local_port_bytes_per_cycle = rng.chance(0.5) ? 16.0 : 32.0;
+      16.0 * static_cast<double>(1u << rng.next_below(3));  // 16/32/64
+  cfg.mesh.local_port_bytes_per_cycle = rng.next_bool(0.5) ? 16.0 : 32.0;
 
-  const bool monolithic = rng.chance(0.15);
+  const bool monolithic = rng.next_bool(0.15);
   cfg.mode = monolithic ? abc::ExecutionMode::kMonolithic
                         : abc::ExecutionMode::kComposable;
-  cfg.force_per_task = !monolithic && rng.chance(0.2);
+  cfg.force_per_task = !monolithic && rng.next_bool(0.2);
 
-  cfg.num_cores = 1 + static_cast<std::uint32_t>(rng.pick(8));
+  cfg.num_cores = 1 + static_cast<std::uint32_t>(rng.next_below(8));
   cfg.max_jobs_in_flight =
-      2 + static_cast<std::uint32_t>(rng.pick(31));
-  switch (rng.pick(3)) {
+      2 + static_cast<std::uint32_t>(rng.next_below(31));
+  switch (rng.next_below(3)) {
     case 0:
       cfg.gam_policy = abc::GamPolicy::kFifo;
       break;
@@ -89,21 +83,21 @@ FuzzPoint generate_point(std::uint64_t seed, const FuzzLimits& limits) {
   // Fabric tasks only when the islands carry fabric blocks; a fabric task
   // with zero fabric inventory could never be placed (a genuine deadlock,
   // not a bug the fuzzer should report).
-  const bool fabric = !monolithic && rng.chance(0.25);
+  const bool fabric = !monolithic && rng.next_bool(0.25);
   cfg.island.fabric_blocks = fabric ? 1 : 0;
 
   // --- workload ---
   workloads::DfgGenParams gp;
   const std::uint32_t max_tasks = std::max<std::uint32_t>(3, limits.max_tasks);
   gp.tasks =
-      3 + static_cast<std::uint32_t>(rng.pick(max_tasks - 2));
-  gp.chain_fraction = rng.unit() * 0.6;
-  gp.branch_prob = rng.unit() * 0.25;
-  gp.elements = 32 + rng.pick(225);
-  gp.compute_iterations = 1 + static_cast<std::uint32_t>(rng.pick(2));
-  gp.chain_words = 1 + static_cast<std::uint32_t>(rng.pick(4));
-  gp.head_input_streams = 1 + static_cast<std::uint32_t>(rng.pick(3));
-  gp.chained_input_streams = static_cast<std::uint32_t>(rng.pick(3));
+      3 + static_cast<std::uint32_t>(rng.next_below(max_tasks - 2));
+  gp.chain_fraction = rng.next_double() * 0.6;
+  gp.branch_prob = rng.next_double() * 0.25;
+  gp.elements = 32 + rng.next_below(225);
+  gp.compute_iterations = 1 + static_cast<std::uint32_t>(rng.next_below(2));
+  gp.chain_words = 1 + static_cast<std::uint32_t>(rng.next_below(4));
+  gp.head_input_streams = 1 + static_cast<std::uint32_t>(rng.next_below(3));
+  gp.chained_input_streams = static_cast<std::uint32_t>(rng.next_below(3));
   gp.fabric_fraction = fabric ? 0.15 : 0.0;
   gp.seed = seed ^ kDfgSalt;
 
@@ -113,9 +107,9 @@ FuzzPoint generate_point(std::uint64_t seed, const FuzzLimits& limits) {
   const std::uint32_t max_inv =
       std::max<std::uint32_t>(2, limits.max_invocations);
   w.invocations =
-      2 + static_cast<std::uint32_t>(rng.pick(max_inv - 1));
-  w.concurrency = 1 + static_cast<std::uint32_t>(rng.pick(12));
-  w.buffer_rotation = 1 + static_cast<std::uint32_t>(rng.pick(4));
+      2 + static_cast<std::uint32_t>(rng.next_below(max_inv - 1));
+  w.concurrency = 1 + static_cast<std::uint32_t>(rng.next_below(12));
+  w.buffer_rotation = 1 + static_cast<std::uint32_t>(rng.next_below(4));
 
   cfg.validate();  // generator bug if this ever throws
   return p;

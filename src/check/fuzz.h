@@ -9,31 +9,9 @@
 #include <string>
 
 #include "core/arch_config.h"
-#include "sim/rng.h"
 #include "workloads/workload.h"
 
 namespace ara::check {
-
-/// The deterministic design-space sampling stream generate_point draws
-/// from, exposed as its own type so other samplers of the design space
-/// (dse::search's candidate sampling) share the exact machinery: one
-/// xoshiro stream decorrelated from the raw seed by the same salt, the
-/// same draw primitives. Same seed -> same draw sequence, independent of
-/// host, thread count, or what the drawn values are used for.
-class PointSampler {
- public:
-  explicit PointSampler(std::uint64_t seed);
-
-  /// Uniform index in [0, n); n must be > 0.
-  std::uint64_t pick(std::uint64_t n) { return rng_.next_below(n); }
-  /// Bernoulli draw with probability `p`.
-  bool chance(double p) { return rng_.next_bool(p); }
-  /// Uniform double in [0, 1).
-  double unit() { return rng_.next_double(); }
-
- private:
-  sim::Rng rng_;
-};
 
 /// Upper bounds on the sampled design space. The defaults define the fuzz
 /// corpus; the minimizer tightens them to shrink a failing seed while

@@ -3,12 +3,12 @@
 // --jobs / --metrics / --trace / --cache (each with an ARA_* environment
 // fallback) used to be re-parsed, slightly differently, by every binary
 // that needed them. CliOptions::parse() is the single implementation: it
-// strips the flags it recognizes out of argv (so wrappers like
-// google-benchmark never see them), applies env defaults, and reports
-// malformed values instead of silently zeroing them. Each tool states
-// which flags it accepts via the `accept` bitmask, and help(accept)
-// renders the matching --help lines so every flag is documented exactly
-// once.
+// strips the flags it recognizes out of argv (leaving positional
+// arguments and unknown flags for the caller to handle or reject),
+// applies env defaults, and reports malformed values instead of silently
+// zeroing them. Each tool states which flags it accepts via the `accept`
+// bitmask, and help(accept) renders the matching --help lines so every
+// flag is documented exactly once.
 #pragma once
 
 #include <string>

@@ -59,7 +59,6 @@ SweepResult run_one(const SweepJob& job, unsigned worker) {
   const std::uint64_t t0_ns = clock.now_ns();
   {
     core::System system(job.config);
-    system.simulator().set_self_profiling(true);
     out.result = system.run(*job.workload);
     out.events = system.simulator().events_processed();
     out.metrics = obs::MetricsSnapshot::capture(system.stats());

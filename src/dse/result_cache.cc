@@ -289,16 +289,14 @@ void ResultCache::write_disk_entry(std::uint64_t key,
 }
 
 void ResultCache::insert(std::uint64_t key, const Entry& entry) {
-  Entry clean = entry;
-  for (auto& k : clean.event_kinds) k.seconds = 0;  // host-dependent
   if (!dir_.empty()) {
     // All writers share the "<path>.tmp" scratch name; concurrent inserts
     // of the same key must not interleave bytes in it (see disk_mu_).
     common::MutexLock lock(disk_mu_);
-    write_disk_entry(key, clean);
+    write_disk_entry(key, entry);
   }
   common::MutexLock lock(mu_);
-  memory_[key] = std::move(clean);
+  memory_[key] = entry;
 }
 
 std::uint64_t ResultCache::hits() const {

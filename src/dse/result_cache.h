@@ -16,9 +16,9 @@
 //    with the strict obs::parse_json; corrupt or truncated files are
 //    treated as misses, never as errors.
 //
-// Host-dependent observability (wall seconds, self-profile seconds) is NOT
-// cached — a hit restores the deterministic fields (result, metrics, event
-// count, per-kind dispatch counts) and reports wall_seconds = 0.
+// Host-dependent observability (wall seconds) is NOT cached — a hit
+// restores the deterministic fields (result, metrics, event count,
+// per-kind dispatch counts) and reports wall_seconds = 0.
 #pragma once
 
 #include <array>
@@ -57,8 +57,7 @@ class ResultCache {
     obs::MetricsSnapshot metrics;
     /// Events the point's Simulator executed (deterministic).
     std::uint64_t events = 0;
-    /// Per-kind dispatch counts. Seconds are host wall-clock and are
-    /// zeroed on insert — they never round-trip through the cache.
+    /// Per-kind dispatch counts (deterministic).
     std::array<sim::EventKindStats, sim::kNumEventKinds> event_kinds{};
   };
 

@@ -6,16 +6,20 @@
 #include <sstream>
 #include <utility>
 
-#include "check/fuzz.h"
 #include "common/config_error.h"
 #include "core/run_result.h"
 #include "dse/sweep.h"
 #include "obs/json_io.h"
+#include "sim/rng.h"
 #include "workloads/registry.h"
 
 namespace ara::dse {
 
 namespace {
+
+/// Decorrelates the candidate stream from the raw seed (the same salt
+/// check::generate_point applies to its point stream).
+constexpr std::uint64_t kSampleSalt = 0x9e3779b97f4a7c15ull;
 
 template <typename T>
 std::vector<T> dedup(const std::vector<T>& in) {
@@ -149,18 +153,17 @@ std::vector<PointSpec> enumerate_space(const SearchSpace& sp) {
   return out;
 }
 
-/// One sampled candidate: one pick per knob, in declaration order, off
-/// the shared check::PointSampler stream.
-PointSpec draw(check::PointSampler& sampler, const SearchSpace& sp) {
+/// One sampled candidate: one pick per knob, in declaration order.
+PointSpec draw(sim::Rng& rng, const SearchSpace& sp) {
   PointSpec s;
-  s.islands = sp.islands[sampler.pick(sp.islands.size())];
-  s.net = sp.nets[sampler.pick(sp.nets.size())];
-  s.rings = sp.rings[sampler.pick(sp.rings.size())];
-  s.link_bytes = sp.widths[sampler.pick(sp.widths.size())];
-  s.ports = sp.ports[sampler.pick(sp.ports.size())];
-  s.sharing = sp.sharing[sampler.pick(sp.sharing.size())];
-  s.mono = sp.mono[sampler.pick(sp.mono.size())];
-  s.policy = sp.policies[sampler.pick(sp.policies.size())];
+  s.islands = sp.islands[rng.next_below(sp.islands.size())];
+  s.net = sp.nets[rng.next_below(sp.nets.size())];
+  s.rings = sp.rings[rng.next_below(sp.rings.size())];
+  s.link_bytes = sp.widths[rng.next_below(sp.widths.size())];
+  s.ports = sp.ports[rng.next_below(sp.ports.size())];
+  s.sharing = sp.sharing[rng.next_below(sp.sharing.size())];
+  s.mono = sp.mono[rng.next_below(sp.mono.size())];
+  s.policy = sp.policies[rng.next_below(sp.policies.size())];
   return s;
 }
 
@@ -170,13 +173,13 @@ PointSpec draw(check::PointSampler& sampler, const SearchSpace& sp) {
 std::vector<PointSpec> sample_candidates(const SearchSpace& sp,
                                          std::uint64_t seed,
                                          std::uint64_t want) {
-  check::PointSampler sampler(seed);
+  sim::Rng rng(seed ^ kSampleSalt);
   std::set<std::string> seen;
   std::vector<PointSpec> out;
   const std::uint64_t max_attempts = 64 * want + 64;
   for (std::uint64_t attempts = 0; out.size() < want && attempts < max_attempts;
        ++attempts) {
-    PointSpec s = draw(sampler, sp);
+    PointSpec s = draw(rng, sp);
     if (seen.insert(s.label()).second) out.push_back(std::move(s));
   }
   // Top-up enumeration only for spaces small enough to materialize; in a

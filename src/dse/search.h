@@ -14,10 +14,10 @@
 // Algorithm (see DESIGN.md "Autotuning search"):
 //   1. If the budget covers the whole space, evaluate it exhaustively at
 //      full fidelity (grid mode) — the search result is then exact.
-//   2. Otherwise successive halving: sample N0 distinct candidates with
-//      check::PointSampler (the fuzzer's deterministic design-space
-//      stream), evaluate them at reduced workload scale, keep the top
-//      half, re-evaluate at doubled scale, ... until full fidelity.
+//   2. Otherwise successive halving: sample N0 distinct candidates from a
+//      seeded sim::Rng stream, evaluate them at reduced workload scale,
+//      keep the top half, re-evaluate at doubled scale, ... until full
+//      fidelity.
 //   3. Local refinement: hill-climb from the incumbent over
 //      dimension-adjacent neighbours at full fidelity until the budget is
 //      spent or no neighbour improves the objective.

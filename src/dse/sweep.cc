@@ -22,15 +22,13 @@ void fill_from_entry(SweepResult* out, ResultCache::Entry entry) {
   out->event_kinds = entry.event_kinds;
 }
 
-/// The deterministic portion of a fresh result, as the cache stores it
-/// (per-kind wall seconds zeroed — they never round-trip).
+/// The deterministic portion of a fresh result, as the cache stores it.
 ResultCache::Entry entry_of(const SweepResult& fresh) {
   ResultCache::Entry entry;
   entry.result = fresh.result;
   entry.metrics = fresh.metrics;
   entry.events = fresh.events;
   entry.event_kinds = fresh.event_kinds;
-  for (auto& k : entry.event_kinds) k.seconds = 0;
   return entry;
 }
 

@@ -74,10 +74,8 @@ struct SweepResult {
   /// Full StatRegistry snapshot of the point's System (deterministic;
   /// identical for serial and parallel runs of the same sweep).
   obs::MetricsSnapshot metrics;
-  /// Host-side self-profile: per-EventKind dispatch counts and wall-clock
-  /// seconds from the point's Simulator. Counts are deterministic; seconds
-  /// are host-dependent and never feed back into `metrics` (and are 0 on a
-  /// cache hit).
+  /// Per-EventKind dispatch counts from the point's Simulator
+  /// (deterministic; restored exactly on a cache hit).
   std::array<sim::EventKindStats, sim::kNumEventKinds> event_kinds{};
 };
 

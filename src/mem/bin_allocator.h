@@ -38,9 +38,6 @@ class BinAllocator {
   /// Is the block containing `addr` pinned?
   bool is_pinned(Addr addr) const;
 
-  Bytes pinned_bytes(std::size_t bank) const {
-    return pinned_per_bank_[bank] * kBlockBytes;
-  }
   Bytes total_pinned_bytes() const;
   std::uint64_t pin_rejections() const { return rejections_; }
 

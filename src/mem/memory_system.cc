@@ -37,10 +37,6 @@ Bytes MemorySystem::pin_buffer(Addr addr, Bytes bytes) {
   return bin_->pin_range(addr, bytes);
 }
 
-void MemorySystem::unpin_buffer(Addr addr, Bytes bytes) {
-  bin_->unpin_range(addr, bytes);
-}
-
 Addr MemorySystem::allocate(Bytes size) {
   const Addr result = next_addr_;
   next_addr_ += ceil_div<Bytes>(size, kBlockBytes) * kBlockBytes;

@@ -87,7 +87,6 @@ class MemorySystem {
   /// Pin [addr, addr+bytes) into the owning banks; returns bytes pinned
   /// (budget-limited). No-op (0) unless bin_pinning is enabled.
   Bytes pin_buffer(Addr addr, Bytes bytes);
-  void unpin_buffer(Addr addr, Bytes bytes);
   const BinAllocator& bin() const { return *bin_; }
 
   const MemorySystemConfig& config() const { return config_; }

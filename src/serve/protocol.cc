@@ -487,7 +487,6 @@ std::string sweep_response(const std::vector<dse::SweepResult>& results,
     entry.metrics = r.metrics;
     entry.events = r.events;
     entry.event_kinds = r.event_kinds;
-    for (auto& k : entry.event_kinds) k.seconds = 0;  // host-dependent
     std::string entry_json = dse::ResultCache::to_json(keys[i], salt, entry);
     while (!entry_json.empty() && entry_json.back() == '\n') {
       entry_json.pop_back();

@@ -1,7 +1,6 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 namespace ara::sim {
@@ -66,19 +65,8 @@ bool Simulator::step() {
     queue_.pop_back();
     now_ = e.at;
     ++events_processed_;
-    auto& stats = kind_stats_[static_cast<std::size_t>(e.kind)];
-    ++stats.count;
-    if (self_profiling_) {
-      // Self-profiling only: measured seconds land in EventKindStats.seconds,
-      // which is host telemetry and never feeds simulated time or results.
-      const auto t0 = std::chrono::steady_clock::now();  // ara-lint: allow(no-wall-clock)
-      e.fn();
-      stats.seconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)  // ara-lint: allow(no-wall-clock)
-              .count();
-    } else {
-      e.fn();
-    }
+    ++kind_stats_[static_cast<std::size_t>(e.kind)].count;
+    e.fn();
   }
   if (observer_period_ != 0 && events_processed_ >= observer_next_) {
     observer_next_ = events_processed_ + observer_period_;

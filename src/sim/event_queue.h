@@ -11,10 +11,9 @@
 // events, each of which makes many link reservations, so the kernel is a
 // negligible share of a run and is kept as simple as the contract allows.
 //
-// Self-profiling: every event carries an EventKind tag; the kernel always
-// counts dispatches per kind, and — when set_self_profiling(true) — also
-// attributes host wall-clock to each kind, so sweeps can report where the
-// simulator itself spends time (not just where simulated cycles go).
+// Every event carries an EventKind tag and the kernel counts dispatches per
+// kind (kind_stats(), exported as sim.events.<kind>). The kernel never reads
+// a host clock; host time is measured end to end and per layer outside it.
 #pragma once
 
 #include <array>
@@ -40,8 +39,8 @@ class ScheduleError : public std::logic_error {
   explicit ScheduleError(const std::string& what) : std::logic_error(what) {}
 };
 
-/// Dispatch classes for self-profiling. Schedulers tag each event; kOther
-/// covers anything without a more specific class.
+/// Dispatch classes. Schedulers tag each event; kOther covers anything
+/// without a more specific class.
 enum class EventKind : std::uint8_t {
   kOther = 0,
   kGamRequest,     // core request arriving at the GAM
@@ -56,11 +55,9 @@ inline constexpr std::size_t kNumEventKinds = 8;
 
 const char* event_kind_name(EventKind kind);
 
-/// Per-kind dispatch telemetry. `seconds` stays 0 unless self-profiling is
-/// enabled on the Simulator.
+/// Per-kind dispatch telemetry (deterministic).
 struct EventKindStats {
   std::uint64_t count = 0;
-  double seconds = 0;
 };
 
 /// Deterministic discrete-event simulator.
@@ -116,13 +113,7 @@ class Simulator {
   void set_observer(std::function<void()> fn, std::uint64_t every);
   void clear_observer();
 
-  /// Enable host wall-clock attribution per event kind. Off by default:
-  /// two steady_clock reads per event are measurable on hot sweeps.
-  void set_self_profiling(bool enabled) { self_profiling_ = enabled; }
-  bool self_profiling() const { return self_profiling_; }
-
-  /// Per-kind dispatch counts (always tracked) and wall-clock seconds
-  /// (tracked only while self-profiling), indexed by EventKind.
+  /// Per-kind dispatch counts, indexed by EventKind.
   const std::array<EventKindStats, kNumEventKinds>& kind_stats() const {
     return kind_stats_;
   }
@@ -147,7 +138,6 @@ class Simulator {
   Tick now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  bool self_profiling_ = false;
   std::array<EventKindStats, kNumEventKinds> kind_stats_{};
 
   // --- observer (invariant checker) ---

@@ -1,6 +1,5 @@
 #include "sim/trace.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -59,21 +58,12 @@ void json_number(std::ostream& os, double v) {
 
 }  // namespace
 
-bool TraceCollector::category_enabled(const std::string& category) const {
-  if (categories_.empty()) return true;
-  return std::find(categories_.begin(), categories_.end(), category) !=
-         categories_.end();
-}
-
 void TraceCollector::push(Event e) {
   const bool meta =
       e.phase == Phase::kMetaProcess || e.phase == Phase::kMetaThread;
-  if (!meta) {
-    if (!category_enabled(e.category)) return;
-    if (events_.size() >= capacity_) {
-      ++dropped_;
-      return;
-    }
+  if (!meta && events_.size() >= capacity_) {
+    ++dropped_;
+    return;
   }
   events_.push_back(std::move(e));
 }

@@ -9,7 +9,6 @@
 //  - counter-track ("C") samples (queue depths, link utilization),
 //  - flow events ("s"/"t"/"f") that draw arrows following a logical
 //    payload — e.g. one DMA transfer across SPM -> island net -> memory,
-//  - category filtering at record time, and
 //  - a bounded event buffer with an explicit dropped-events counter so a
 //    runaway trace degrades gracefully instead of exhausting host memory.
 //
@@ -69,7 +68,7 @@ class TraceCollector {
                 std::uint32_t tid, Tick at, const std::string& category);
 
   /// Metadata ("M") events naming a process / thread in the viewer.
-  /// Metadata is exempt from the category filter and the capacity cap.
+  /// Metadata is exempt from the capacity cap.
   void name_process(std::uint32_t pid, const std::string& name);
   void name_thread(std::uint32_t pid, std::uint32_t tid,
                    const std::string& name);
@@ -79,12 +78,6 @@ class TraceCollector {
   void set_capacity(std::size_t max_events) { capacity_ = max_events; }
   std::size_t capacity() const { return capacity_; }
   std::uint64_t dropped() const { return dropped_; }
-
-  /// Restrict recording to the given categories (empty list = record all).
-  void set_category_filter(std::vector<std::string> categories) {
-    categories_ = std::move(categories);
-  }
-  bool category_enabled(const std::string& category) const;
 
   std::size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
@@ -128,7 +121,6 @@ class TraceCollector {
   void push(Event e);
 
   std::vector<Event> events_;
-  std::vector<std::string> categories_;  // empty = all enabled
   std::size_t capacity_ = 1u << 20;
   std::uint64_t dropped_ = 0;
   std::uint64_t next_flow_ = 1;

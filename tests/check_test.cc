@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "check/check.h"
 #include "check/fuzz.h"
@@ -208,6 +209,23 @@ TEST(FuzzGenerator, DifferentSeedsExploreDifferentPoints) {
   const FuzzPoint b = generate_point(2);
   EXPECT_NE(core::canonical_text(a.config) + core::canonical_text(a.workload),
             core::canonical_text(b.config) + core::canonical_text(b.workload));
+}
+
+// A repro file names only a seed and its limits, so the stream behind
+// generate_point is pinned: the same seed must keep producing the same
+// point, byte for byte.
+TEST(FuzzGenerator, PointsArePinnedBySeed) {
+  const std::pair<std::uint64_t, std::uint64_t> pinned[] = {
+      {1, 0x33254e259af693aaull},
+      {7, 0x6a15706e05c0773aull},
+      {42, 0xc062020966b4bc46ull}};
+  for (const auto& [seed, digest] : pinned) {
+    const FuzzPoint p = generate_point(seed);
+    EXPECT_EQ(core::fnv1a64(core::canonical_text(p.config) +
+                            core::canonical_text(p.workload)),
+              digest)
+        << "seed " << seed;
+  }
 }
 
 TEST(FuzzGenerator, GeneratedPointsAreValidAndBounded) {

@@ -1,6 +1,6 @@
-// Fixture: the search-sampler exemption is the exact path
-// src/dse/search.cc — any other dse file including "check/..." is still a
-// layering violation (the dse -> check edge is not in layer_deps).
+// Fixture: "check/..." is outside dse's layer_deps edges, so any dse file
+// including it is a layering violation (check already depends on dse; the
+// edge would close a cycle).
 #include "check/fuzz.h"
 
 unsigned long long fixture_sampler_probe() {

@@ -95,16 +95,6 @@ TEST(LintFixtures, SeededViolationInDseTreeFailsTheGate) {
   EXPECT_EQ(lint_fixture("src/dse/seeded_rand.cc"), expected);
 }
 
-TEST(LintFixtures, SanctionedSearchSamplerSiteIsExemptWithoutAllowComments) {
-  // src/dse/search.cc (the check::PointSampler reuse) is the one path the
-  // layering rule exempts for the dse -> check edge; the fixture carries
-  // no allow() comments, so a clean result proves the allowlist (not a
-  // suppression) admits it.
-  std::size_t suppressed = 0;
-  EXPECT_TRUE(lint_fixture("src/dse/search.cc", &suppressed).empty());
-  EXPECT_EQ(suppressed, 0u);
-}
-
 TEST(LintFixtures, DseCheckIncludeOutsideSanctionedFileStillFires) {
   const std::vector<RuleLine> expected = {{"layering", 4}};
   EXPECT_EQ(lint_fixture("src/dse/sampler_probe.cc"), expected);
@@ -244,23 +234,6 @@ TEST(LintEngine, LayeringAllowsDeclaredEdgesOnly) {
   EXPECT_EQ(up[0].rule, "layering");
 }
 
-TEST(LintEngine, SearchSamplerAllowlistAdmitsOnlyTheExactPath) {
-  const std::string src = "#include \"check/fuzz.h\"\n";
-  EXPECT_TRUE(lint_source("src/dse/search.cc", src).empty());
-  EXPECT_TRUE(lint_source("/abs/repo/src/dse/search.cc", src).empty());
-  // Same layer, different file; same name, different layer; the header
-  // sibling — none inherit the exemption.
-  EXPECT_EQ(lint_source("src/dse/other.cc", src).size(), 1u);
-  EXPECT_EQ(lint_source("src/serve/search.cc", src).size(), 1u);
-  EXPECT_EQ(lint_source("src/dse/search.h", src).size(), 1u);
-  // The exemption only covers the dse -> check edge: an undeclared edge
-  // to another layer from the sanctioned file still fires.
-  EXPECT_EQ(
-      lint_source("src/dse/search.cc", "#include \"serve/server.h\"\n")
-          .size(),
-      1u);
-}
-
 TEST(LintEngine, RuleCatalogIsSortedAndComplete) {
   const auto& catalog = rules();
   const std::set<std::string> ids = {
@@ -279,11 +252,11 @@ TEST(LintEngine, RuleCatalogIsSortedAndComplete) {
 
 TEST(LintEngine, WholeCorpusThroughLintPaths) {
   const LintResult result = lint_paths({std::string(ARA_LINT_FIXTURE_DIR)});
-  EXPECT_EQ(result.files_scanned, 17u);
+  EXPECT_EQ(result.files_scanned, 16u);
   EXPECT_EQ(result.suppressed, 4u);
-  // Sum of every fixture's expected findings above (clock.cc,
-  // dse/search.cc and comment_trap.cc add zero; wall_clock_probe.cc and
-  // sampler_probe.cc add one each).
+  // Sum of every fixture's expected findings above (clock.cc and
+  // comment_trap.cc add zero; wall_clock_probe.cc and sampler_probe.cc add
+  // one each).
   EXPECT_EQ(result.findings.size(), 4u + 3u + 2u + 3u + 2u + 1u + 4u + 4u +
                                         4u + 2u + 1u + 1u);
   // Deterministic: sorted by path, then line.

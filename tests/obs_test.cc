@@ -105,17 +105,6 @@ TEST(Trace, CapacityCapCountsDropped) {
   EXPECT_TRUE(obs::validate_json(out, &err)) << err;
 }
 
-TEST(Trace, CategoryFilter) {
-  sim::TraceCollector t;
-  t.set_category_filter({"dma"});
-  EXPECT_TRUE(t.category_enabled("dma"));
-  EXPECT_FALSE(t.category_enabled("task"));
-  t.record_instant("kept", 0, 0, 1, "dma");
-  t.record_instant("filtered", 0, 0, 2, "task");
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.dropped(), 0u);  // filtered != dropped-by-capacity
-}
-
 TEST(Trace, CounterFlowAndMetadataAreValidJson) {
   sim::TraceCollector t;
   t.name_process(1, "island 1");
@@ -320,7 +309,6 @@ TEST(Observability, TraceDroppedSurfacesInMetricsSnapshot) {
 TEST(Observability, EventKindProfileCounts) {
   core::ArchConfig cfg = core::ArchConfig::ring_design(6, 2, 32);
   core::System sys(cfg);
-  sys.simulator().set_self_profiling(true);
   auto w = workloads::make_benchmark("Denoise", 0.05);
   sys.run(w);
   const auto& kinds = sys.simulator().kind_stats();

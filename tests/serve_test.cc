@@ -475,7 +475,6 @@ dse::ResultCache::Entry entry_of(const dse::SweepResult& r) {
   entry.metrics = r.metrics;
   entry.events = r.events;
   entry.event_kinds = r.event_kinds;
-  for (auto& k : entry.event_kinds) k.seconds = 0;
   return entry;
 }
 

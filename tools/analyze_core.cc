@@ -598,7 +598,7 @@ void analyze_includes(const Corpus& corpus, std::vector<Finding>* out) {
   // 2. Transitive layering: the include *closure* of every layered file
   // must stay inside its layer's transitive allowlist. Per-edge legality
   // is ara_lint's job; this catches paths through unlayered intermediates
-  // (tools/, bench/) and through file-scoped exemptions.
+  // (tools/, bench/).
   std::map<std::string, std::set<std::string>> closures;
   for (std::size_t i = 0; i < corpus.files.size(); ++i) {
     const SourceFile& f = corpus.files[i];
@@ -609,13 +609,6 @@ void analyze_includes(const Corpus& corpus, std::vector<Finding>* out) {
     }
     std::set<std::string> allowed = cit->second;
     allowed.insert(f.layer);
-    // src/dse/search.cc is ara_lint's one path-allowlisted cross edge
-    // (dse -> check, for the fuzzer's PointSampler); its closure may
-    // legally contain check and everything check reaches.
-    if (path_ends_with(f.path, {"src", "dse", "search.cc"})) {
-      allowed.insert("check");
-      for (const auto& l : layer_closure("check")) allowed.insert(l);
-    }
 
     // BFS with parents for chain reconstruction.
     std::vector<std::size_t> parent(corpus.files.size(), corpus.files.size());

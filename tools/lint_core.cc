@@ -335,21 +335,6 @@ void rule_stat_naming(const Scope& scope, const FileView& v,
   }
 }
 
-/// The one sanctioned cross-layer include outside layer_deps:
-/// src/dse/search.cc may include "check/..." — the search optimizer
-/// reuses check::PointSampler (the fuzzer's deterministic design-space
-/// stream) so searched and fuzzed points draw from identical machinery.
-/// A blanket dse -> check edge would legalize a dependency cycle
-/// (check already depends on dse), so the exemption is file-scoped,
-/// matched on trailing components like sanctioned_clock_site so fixture
-/// trees (tests/lint_fixtures/src/dse/search.cc) exercise it.
-bool sanctioned_search_sampler_site(const std::string& path) {
-  const auto parts = split_path(path);
-  const std::size_t n = parts.size();
-  return n >= 3 && parts[n - 3] == "src" && parts[n - 2] == "dse" &&
-         parts[n - 1] == "search.cc";
-}
-
 void rule_layering(const Scope& scope, const FileView& v,
                    const std::string& path, std::vector<Finding>* out) {
   if (!scope.in_src || scope.layer.empty()) return;
@@ -361,10 +346,6 @@ void rule_layering(const Scope& scope, const FileView& v,
     if (!std::regex_search(v.text[li], m, kInclude)) continue;
     const std::string target = m[1].str();
     if (target == scope.layer || known_layers().count(target) == 0) continue;
-    if (scope.layer == "dse" && target == "check" &&
-        sanctioned_search_sampler_site(path)) {
-      continue;
-    }
     if (deps_it->second.count(target) == 0) {
       out->push_back(
           {path, static_cast<int>(li + 1), "layering",
