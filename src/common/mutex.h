@@ -5,7 +5,7 @@
 // release semantics — ARA_GUARDED_BY members locked through a bare
 // std::lock_guard would warn on every (correct) access. ara::common::Mutex
 // is a zero-overhead wrapper that exposes those semantics to the analysis;
-// MutexLock is the only sanctioned way to take it (ara_lint's no-naked-lock
+// MutexLock is the only sanctioned way to take it (ara_analyze's no-naked-lock
 // rule bans direct .lock()/.unlock() calls everywhere else).
 #pragma once
 
@@ -25,7 +25,7 @@ class ARA_CAPABILITY("mutex") Mutex {
   Mutex& operator=(const Mutex&) = delete;
 
   // The wrapper is the one place allowed to touch the raw lock interface —
-  // everything else goes through MutexLock (enforced by ara_lint).
+  // everything else goes through MutexLock (enforced by ara_analyze).
   void lock() ARA_ACQUIRE() { m_.lock(); }      // ara-lint: allow(no-naked-lock)
   void unlock() ARA_RELEASE() { m_.unlock(); }  // ara-lint: allow(no-naked-lock)
   bool try_lock() ARA_TRY_ACQUIRE(true) {

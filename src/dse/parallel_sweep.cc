@@ -54,7 +54,7 @@ SweepResult run_one(const SweepJob& job, unsigned worker) {
   // Host wall-clock is observability output only (SweepResult.wall_seconds);
   // it never feeds back into simulation state or results. Read through the
   // obs::MonotonicClock seam — the sanctioned wall-clock site — so this
-  // file stays clean under ara_lint's no-wall-clock rule.
+  // file stays clean under ara_analyze's no-wall-clock rule.
   obs::MonotonicClock& clock = obs::MonotonicClock::host();
   const std::uint64_t t0_ns = clock.now_ns();
   {
@@ -127,25 +127,6 @@ std::vector<SweepResult> ParallelSweepExecutor::run_with(
 
   error.rethrow_if_set();
   return results;
-}
-
-std::vector<SweepResult> ParallelSweepExecutor::run(
-    const std::vector<ConfigPoint>& points,
-    const std::vector<const workloads::Workload*>& workloads) const {
-  std::vector<SweepJob> sweep_jobs;
-  sweep_jobs.reserve(points.size() * workloads.size());
-  for (const auto& p : points) {
-    for (const auto* wl : workloads) {
-      sweep_jobs.push_back({p.config, wl});
-    }
-  }
-  return run(sweep_jobs);
-}
-
-std::vector<SweepResult> ParallelSweepExecutor::run(
-    const std::vector<ConfigPoint>& points,
-    const workloads::Workload& workload) const {
-  return run(points, std::vector<const workloads::Workload*>{&workload});
 }
 
 }  // namespace ara::dse

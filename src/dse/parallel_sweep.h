@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "dse/sweep.h"
-#include "workloads/workload.h"
 
 namespace ara::dse {
 
@@ -49,16 +48,6 @@ class ParallelSweepExecutor {
   /// for real simulations.
   std::vector<SweepResult> run_with(const std::vector<SweepJob>& sweep_jobs,
                                     const JobRunner& runner) const;
-
-  /// Cross product `points` x `workloads`, point-major (the order a nested
-  /// `for point / for workload` loop would produce).
-  std::vector<SweepResult> run(
-      const std::vector<ConfigPoint>& points,
-      const std::vector<const workloads::Workload*>& workloads) const;
-
-  /// Single-workload convenience mirroring dse::run_sweep.
-  std::vector<SweepResult> run(const std::vector<ConfigPoint>& points,
-                               const workloads::Workload& workload) const;
 
  private:
   unsigned jobs_;

@@ -1,6 +1,6 @@
 // The single sanctioned host wall-clock read in src/ (see clock.h).
-// ara_lint's no-wall-clock rule exempts exactly this file by path; any
-// other steady_clock use in src/ is a lint finding.
+// ara_analyze's no-wall-clock rule exempts exactly this file by path; any
+// other steady_clock use in src/ is an analyzer finding.
 #include "obs/clock.h"
 
 #include <chrono>

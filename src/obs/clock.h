@@ -6,7 +6,7 @@
 // consumer takes a MonotonicClock* seam instead of calling std::chrono
 // directly: the ONLY sanctioned wall-clock read in src/ is
 // MonotonicClock::host()'s implementation in src/obs/clock.cc, which
-// ara_lint's no-wall-clock rule exempts by path (tools/lint_core.cc).
+// ara_analyze's no-wall-clock rule exempts by path (tools/analyze_core.cc).
 // Tests inject FakeClock to make span/window math fully deterministic.
 #pragma once
 

@@ -6,7 +6,7 @@
 // core::System and is read/written only from that System's thread; cross-
 // thread consumers get a value copy via obs::MetricsSnapshot::capture.
 // Registration names must follow "<subsystem>.<id>.<stat>" — enforced by
-// ara_lint's stat-naming rule.
+// ara_analyze's stat-grammar analysis.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,10 @@
-// ara_analyze engine tests. The in-memory cases pin the shared lexer
-// (comments, raw strings with prefixes, backslash-newline splices) and
-// each cross-file analysis in isolation; the fixture cases prove every
-// analysis both fires on the seeded violation in
-// tests/analyze_fixtures/bad/ and stays silent on the corrected twin in
-// good/ (tests/analyze_smoke.cmake covers the CLI contract).
+// ara_analyze engine tests. The in-memory cases pin the lexer (comments,
+// raw strings with prefixes, backslash-newline splices), each cross-file
+// analysis in isolation and the split between allow() suppression and
+// the baseline; the fixture cases prove every analysis both fires on the
+// seeded violation in tests/analyze_fixtures/bad/ and stays silent on the
+// corrected twin in good/ (tests/lint_test.cc covers the per-file rules,
+// tests/analyze_smoke.cmake the CLI contract).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -46,8 +47,7 @@ TEST(AnalyzeLexer, BlockCommentIsBlankedAcrossLines) {
 }
 
 TEST(AnalyzeLexer, LineSpliceContinuesALineComment) {
-  // The continuation line is part of the comment (C++ phase-2 splicing);
-  // the old lint scanner treated it as code.
+  // The continuation line is part of the comment (C++ phase-2 splicing).
   const auto lexed = lex(
       "// comment \\\n"
       "std::rand();\n"
@@ -408,6 +408,42 @@ TEST(AnalyzeBaseline, WriteThenReadRoundTripsToClean) {
   EXPECT_EQ(second.baselined, first.findings.size());
 }
 
+// A per-file finding answers to allow() comments only: it carries no key,
+// so --write-baseline leaves it out and no baseline can silence it.
+TEST(AnalyzeBaseline, PerFileFindingsNeverEnterTheBaseline) {
+  Corpus corpus;
+  add_source(&corpus, "src/sim/x.cc", "int x = rand();\n");
+  const AnalyzeResult first = analyze(corpus, {});
+  ASSERT_EQ(first.findings.size(), 1u);
+  EXPECT_EQ(first.findings[0].rule, "no-rand");
+  EXPECT_TRUE(first.findings[0].key.empty());
+  const std::string body = to_baseline(first);
+  EXPECT_EQ(body.find("no-rand"), std::string::npos) << body;
+
+  const AnalyzeResult second =
+      analyze(corpus, parse_baseline(body), "baseline.txt");
+  ASSERT_EQ(second.findings.size(), 1u);
+  EXPECT_EQ(second.findings[0].rule, "no-rand");
+  EXPECT_EQ(second.baselined, 0u);
+  EXPECT_EQ(second.suppressed, 0u);
+}
+
+// allow() accepts per-file rule ids only: naming a cross-file analysis is
+// a bad-suppression, and the cross-file finding stays.
+TEST(AnalyzeBaseline, AllowNamingACrossFileRuleIsABadSuppression) {
+  Corpus corpus;
+  add_source(&corpus, "src/core/stats.cc",
+             "void f(StatRegistry& s) {\n"
+             "  s.counter(\"BadName\", 1);  // ara-lint: allow(stat-grammar)\n"
+             "}\n");
+  const AnalyzeResult result = analyze(corpus, {});
+  EXPECT_EQ(finding_rules(result.findings),
+            (std::set<std::string>{"bad-suppression", "stat-grammar"}));
+  ASSERT_EQ(result.findings.size(), 2u);
+  for (const auto& f : result.findings) EXPECT_EQ(f.line, 2);
+  EXPECT_EQ(result.suppressed, 0u);
+}
+
 TEST(AnalyzeRender, JsonIsStrictRfc8259) {
   Corpus corpus;
   add_source(&corpus, "src/core/stats.cc",
@@ -427,15 +463,22 @@ TEST(AnalyzeRender, JsonIsStrictRfc8259) {
 
 TEST(AnalyzeRules, CatalogIsSortedAndCoversEveryEmittedRule) {
   const auto& catalog = rules();
-  for (std::size_t i = 1; i < catalog.size(); ++i) {
-    EXPECT_LT(catalog[i - 1].id, catalog[i].id);
+  std::set<std::string> per_file;
+  std::set<std::string> cross_file;
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    EXPECT_FALSE(catalog[i].summary.empty()) << catalog[i].id;
+    if (i > 0) {
+      EXPECT_LT(catalog[i - 1].id, catalog[i].id);
+    }
+    (catalog[i].per_file ? per_file : cross_file).insert(catalog[i].id);
   }
-  const std::set<std::string> ids = [] {
-    std::set<std::string> s;
-    for (const auto& r : rules()) s.insert(r.id);
-    return s;
-  }();
-  EXPECT_EQ(ids,
+  EXPECT_EQ(catalog.size(), 17u);
+  EXPECT_EQ(per_file,
+            (std::set<std::string>{
+                "bad-suppression", "layering", "no-deprecated-api",
+                "no-naked-lock", "no-rand", "no-raw-new-delete",
+                "no-unordered-iter", "no-wall-clock"}));
+  EXPECT_EQ(cross_file,
             (std::set<std::string>{
                 "include-cycle", "lock-order", "proto-unparsed",
                 "proto-unproduced", "stale-baseline", "stat-grammar",

@@ -8,6 +8,9 @@ foreach(var BENCH CHECK OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "bench_search_smoke.cmake requires -D${var}=...")
   endif()
+  if(NOT var MATCHES "^OUT_DIR$" AND NOT EXISTS "${${var}}")
+    message(FATAL_ERROR "bench_search_smoke.cmake: ${var} ${${var}} does not exist")
+  endif()
 endforeach()
 
 file(MAKE_DIRECTORY "${OUT_DIR}")

@@ -9,6 +9,9 @@ foreach(var CLI DSE CHECK OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_smoke.cmake requires -D${var}=...")
   endif()
+  if(NOT var MATCHES "^OUT_DIR$" AND NOT EXISTS "${${var}}")
+    message(FATAL_ERROR "cli_smoke.cmake: ${var} ${${var}} does not exist")
+  endif()
 endforeach()
 
 file(MAKE_DIRECTORY "${OUT_DIR}")

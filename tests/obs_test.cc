@@ -194,7 +194,7 @@ TEST(MetricsExport, HistogramMinExportedAndRoundTrips) {
   EXPECT_EQ(rt.histograms[0].max, 21u);
 }
 
-// Determinism the no-unordered-iter lint rule protects: exported metric
+// Determinism the no-unordered-iter rule protects: exported metric
 // order must depend only on names (StatRegistry is a std::map), never on
 // registration order or hash-bucket layout.
 TEST(MetricsExport, ExportOrderIndependentOfRegistrationOrder) {

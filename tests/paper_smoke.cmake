@@ -8,6 +8,9 @@ foreach(var BENCH_DIR CHECK OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "paper_smoke.cmake requires -D${var}=...")
   endif()
+  if(NOT var MATCHES "^OUT_DIR$" AND NOT EXISTS "${${var}}")
+    message(FATAL_ERROR "paper_smoke.cmake: ${var} ${${var}} does not exist")
+  endif()
 endforeach()
 
 # Every bench/ binary except bench_search (smoke-tested on its own).

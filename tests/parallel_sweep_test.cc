@@ -34,19 +34,21 @@ TEST(ParallelSweep, BitIdenticalToSerialAcrossJobCounts) {
   const auto wls = test_workloads();
 
   // Serial reference: one single-point request per (point, workload),
-  // point-major.
+  // point-major; `request` collects the same jobs for the executor.
   std::vector<core::RunResult> expected;
+  SweepRequest request;
   for (const auto& p : points) {
     for (const auto& wl : wls) {
       expected.push_back(
           std::move(run(SweepRequest{}.add(p.config, wl)).front().result));
+      request.add(p.config, wl);
     }
   }
 
   for (unsigned jobs : {1u, 2u, 8u}) {
     ParallelSweepExecutor executor(jobs);
     EXPECT_EQ(executor.jobs(), jobs);
-    const auto got = executor.run(points, {&wls[0], &wls[1]});
+    const auto got = executor.run(request.sweep);
     ASSERT_EQ(got.size(), expected.size()) << "jobs=" << jobs;
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(got[i].result, expected[i])
@@ -70,8 +72,8 @@ TEST(ParallelSweep, RunSweepDelegatesWithIdenticalResults) {
 }
 
 // The deprecated run_point/run_sweep shims (and their migration A/B test)
-// are gone: every caller uses dse::run, and ara_lint's no-deprecated-api
-// rule fails the lint gate on any reintroduction of those identifiers.
+// are gone: every caller uses dse::run, and ara_analyze's no-deprecated-api
+// rule fails the analyze gate on any reintroduction of those identifiers.
 // dse::run's own determinism coverage lives in the tests around this
 // comment (serial-vs-parallel, jobs 1/2/8, cached-vs-fresh).
 TEST(SweepRequestMigration, SingleAddMirrorsRemovedRunPointShape) {
@@ -95,7 +97,8 @@ TEST(ParallelSweep, ReportsObservabilityPerPoint) {
   const auto wl = workloads::make_benchmark("Denoise", 0.03);
 
   ParallelSweepExecutor executor(2);
-  const auto results = executor.run(points, wl);
+  const auto results =
+      executor.run(SweepRequest{}.add_points(points, wl).sweep);
   ASSERT_EQ(results.size(), points.size());
   for (const auto& r : results) {
     EXPECT_GT(r.events, 0u);
@@ -115,7 +118,8 @@ TEST(ParallelSweep, PreservesInputOrderNotCompletionOrder) {
   const auto wl = workloads::make_benchmark("Denoise", 0.03);
 
   ParallelSweepExecutor executor(4);
-  const auto results = executor.run(points, wl);
+  const auto results =
+      executor.run(SweepRequest{}.add_points(points, wl).sweep);
   ASSERT_EQ(results.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto ref = run(SweepRequest{}.add(points[i].config, wl));

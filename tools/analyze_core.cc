@@ -6,8 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <regex>
 #include <sstream>
+#include <utility>
 
 namespace ara::analyze {
 
@@ -16,10 +18,32 @@ namespace {
 // ------------------------------------------------------------------ catalog
 
 const std::vector<RuleInfo> kRules = {
+    {"bad-suppression",
+     "an ara-lint allow() comment names an id that is not a per-file rule",
+     true},
     {"include-cycle", "the #include graph contains a cycle"},
+    {"layering",
+     "#include crosses a layer boundary not in the dependency allowlist",
+     true},
     {"lock-order",
      "the global mutex acquisition-order graph contains a cycle (potential "
      "static deadlock)"},
+    {"no-deprecated-api",
+     "references a removed API (run_point/run_sweep); use dse::run", true},
+    {"no-naked-lock",
+     "direct mutex .lock()/.unlock(); RAII guards (common::MutexLock) only",
+     true},
+    {"no-rand", "nondeterministic or non-portable randomness; use sim::Rng",
+     true},
+    {"no-raw-new-delete",
+     "raw new/delete; own allocations through RAII types and containers",
+     true},
+    {"no-unordered-iter",
+     "iteration over an unordered container (order feeds results/stats)",
+     true},
+    {"no-wall-clock",
+     "host wall-clock read in simulator code outside the obs clock seam",
+     true},
     {"proto-unparsed",
      "a JSON field a client/label site exposes that the serve protocol "
      "never produces or parses back"},
@@ -291,6 +315,8 @@ LexedSource lex(const std::string& content) {
 
 // -------------------------------------------------------- layering model
 
+namespace {
+
 std::vector<std::string> split_path(const std::string& path) {
   std::vector<std::string> parts;
   std::string cur;
@@ -306,6 +332,7 @@ std::vector<std::string> split_path(const std::string& path) {
   return parts;
 }
 
+/// The known src/<layer>/ directory names.
 const std::set<std::string>& known_layers() {
   static const std::set<std::string> layers = {
       "abb",  "abc",  "check", "cmp",   "common", "core",      "dataflow",
@@ -314,6 +341,10 @@ const std::set<std::string>& known_layers() {
   return layers;
 }
 
+/// Layer dependency allowlist: src/<key>/ may #include "dep/..." for
+/// every dep in its set (plus itself and std headers). This is the
+/// project's architecture, frozen: adding an edge is a deliberate
+/// one-line amendment reviewed together with DESIGN.md "Static analysis".
 const std::map<std::string, std::set<std::string>>& layer_deps() {
   static const std::map<std::string, std::set<std::string>> deps = {
       {"common", {}},
@@ -338,6 +369,8 @@ const std::map<std::string, std::set<std::string>>& layer_deps() {
   return deps;
 }
 
+/// The layer a path belongs to ("" when not under a src/<layer>/ tree).
+/// The last src/<layer> match wins so fixture trees nest correctly.
 std::string layer_of(const std::string& path) {
   std::string layer;
   const auto parts = split_path(path);
@@ -349,6 +382,9 @@ std::string layer_of(const std::string& path) {
   return layer;
 }
 
+/// True when `path`'s trailing components equal `parts` (e.g.
+/// {"src","obs","clock.cc"}) — how file-scoped exemptions match both the
+/// real tree and fixture corpora.
 bool path_ends_with(const std::string& path,
                     const std::vector<std::string>& parts) {
   const auto p = split_path(path);
@@ -358,8 +394,6 @@ bool path_ends_with(const std::string& path,
   }
   return true;
 }
-
-namespace {
 
 /// Path suffix starting at the last src/tools/bench/examples component —
 /// identical for a real checkout and a fixture tree, so baseline keys and
@@ -442,6 +476,332 @@ Corpus load_corpus(const std::vector<std::string>& roots,
   }
   return corpus;
 }
+
+// -------------------------------------------------------- per-file rules
+
+namespace {
+
+/// The ids an allow() comment may name.
+bool per_file_rule(const std::string& id) {
+  for (const auto& r : kRules) {
+    if (r.id == id) return r.per_file;
+  }
+  return false;
+}
+
+/// Appends a per-file finding for 0-based line `li`. It carries no
+/// baseline key: only an allow() comment can silence it.
+void report(const SourceFile& f, std::size_t li, const char* rule,
+            std::string message, std::vector<Finding>* out) {
+  out->push_back(
+      {f.path, static_cast<int>(li + 1), rule, "", std::move(message)});
+}
+
+/// Call `fn(line_index, column)` for every whole-word occurrence of
+/// `word`.
+template <typename Fn>
+void for_each_word(const std::vector<std::string>& lines,
+                   const std::string& word, Fn fn) {
+  for (std::size_t li = 0; li < lines.size(); ++li) {
+    const std::string& s = lines[li];
+    std::size_t pos = s.find(word);
+    while (pos != std::string::npos) {
+      const bool lb = pos == 0 || !ident_char(s[pos - 1]);
+      const bool rb = pos + word.size() >= s.size() ||
+                      !ident_char(s[pos + word.size()]);
+      if (lb && rb) fn(li, pos);
+      pos = s.find(word, pos + 1);
+    }
+  }
+}
+
+char prev_nonspace(const std::string& s, std::size_t pos) {
+  while (pos > 0) {
+    --pos;
+    if (!std::isspace(static_cast<unsigned char>(s[pos]))) return s[pos];
+  }
+  return '\0';
+}
+
+char next_nonspace(const std::string& s, std::size_t pos) {
+  while (pos < s.size()) {
+    if (!std::isspace(static_cast<unsigned char>(s[pos]))) return s[pos];
+    ++pos;
+  }
+  return '\0';
+}
+
+void rule_no_rand(const SourceFile& f, std::vector<Finding>* out) {
+  static const char* const kBanned[] = {
+      "rand",          "srand",       "drand48",
+      "lrand48",       "random_device", "mt19937",
+      "mt19937_64",    "minstd_rand", "default_random_engine",
+      "random_shuffle", "uniform_int_distribution",
+      "uniform_real_distribution"};
+  for (const char* word : kBanned) {
+    for_each_word(f.lexed.view.code, word, [&](std::size_t li, std::size_t) {
+      report(f, li, "no-rand",
+             std::string("'") + word +
+                 "' is a banned nondeterminism source; use sim::Rng "
+                 "(portable xoshiro256**, seeded per stream)",
+             out);
+    });
+  }
+}
+
+void rule_no_wall_clock(const SourceFile& f, std::vector<Finding>* out) {
+  // obs::MonotonicClock::host() in src/obs/clock.cc is the one sanctioned
+  // wall-clock site. Everything else that wants real time takes a
+  // MonotonicClock& (tests inject obs::FakeClock), so the exemption is a
+  // single path rather than allow() comments scattered through the
+  // telemetry layer. Matched on the trailing components so fixture trees
+  // (tests/lint_fixtures/src/obs/clock.cc) exercise the same exemption.
+  if (path_ends_with(f.path, {"src", "obs", "clock.cc"})) return;
+  const std::vector<std::string>& code = f.lexed.view.code;
+  static const char* const kBanned[] = {
+      "system_clock", "steady_clock",  "high_resolution_clock",
+      "gettimeofday", "clock_gettime", "localtime",
+      "gmtime",       "timespec_get"};
+  auto flag = [&](std::size_t li, const std::string& what) {
+    report(f, li, "no-wall-clock",
+           "'" + what +
+               "' reads host wall-clock in simulator code; simulated time "
+               "comes from Simulator::now() and real-time telemetry from "
+               "obs::MonotonicClock (src/obs/clock.cc is the sole exempt "
+               "site). Other sanctioned sites carry an explicit ara-lint "
+               "allow comment",
+           out);
+  };
+  for (const char* word : kBanned) {
+    for_each_word(code, word,
+                  [&](std::size_t li, std::size_t) { flag(li, word); });
+  }
+  // Bare time(...) / clock(...) calls: flag only non-member uses so a
+  // method named time() on a simulator type stays legal.
+  for (const char* word : {"time", "clock"}) {
+    for_each_word(code, word, [&](std::size_t li, std::size_t pos) {
+      const std::string& s = code[li];
+      if (next_nonspace(s, pos + std::string(word).size()) != '(') return;
+      const char before = pos == 0 ? '\0' : s[pos - 1];
+      if (before == '.' || before == '>') return;  // member call
+      flag(li, word);
+    });
+  }
+}
+
+void rule_no_unordered_iter(const SourceFile& f, std::vector<Finding>* out) {
+  const std::vector<std::string>& code = f.lexed.view.code;
+  // Pass 1: names declared with an unordered container type in this file.
+  std::set<std::string> names;
+  static const std::regex kDecl(
+      R"(unordered_(?:map|set|multimap|multiset)\s*<)");
+  for (const auto& line : code) {
+    for (std::sregex_iterator it(line.begin(), line.end(), kDecl), end;
+         it != end; ++it) {
+      // Match the template argument list's angle brackets, then read the
+      // declared name (skipping &, * and const-ness).
+      std::size_t i = static_cast<std::size_t>(it->position()) + it->length();
+      int depth = 1;
+      while (i < line.size() && depth > 0) {
+        if (line[i] == '<') ++depth;
+        if (line[i] == '>') --depth;
+        ++i;
+      }
+      if (depth != 0) continue;  // declaration spans lines; heuristic bails
+      while (i < line.size() &&
+             (std::isspace(static_cast<unsigned char>(line[i])) ||
+              line[i] == '&' || line[i] == '*')) {
+        ++i;
+      }
+      std::string name;
+      while (i < line.size() && ident_char(line[i])) name += line[i++];
+      if (name == "iterator" || name == "const_iterator") continue;
+      if (!name.empty()) names.insert(name);
+    }
+  }
+  if (names.empty()) return;
+
+  // Pass 2: range-for over, or .begin() on, any of those names.
+  static const std::regex kRangeFor(
+      R"(\bfor\s*\([^;()]*[^:\s]\s*:\s*(?:\*|&)?\s*((?:[A-Za-z_]\w*\s*(?:\.|->)\s*)*[A-Za-z_]\w*)\s*\))");
+  static const std::regex kBegin(
+      R"(([A-Za-z_]\w*)\s*\.\s*(?:c|r|cr)?begin\s*\()");
+  for (std::size_t li = 0; li < code.size(); ++li) {
+    const std::string& line = code[li];
+    auto flag = [&](const std::string& name) {
+      report(f, li, "no-unordered-iter",
+             "iterating unordered container '" + name +
+                 "': bucket order is implementation-defined, so anything "
+                 "derived from it (stats, exports, scheduling) loses "
+                 "determinism. Iterate a sorted copy or use std::map",
+             out);
+    };
+    for (std::sregex_iterator it(line.begin(), line.end(), kRangeFor), end;
+         it != end; ++it) {
+      std::string expr = (*it)[1].str();
+      const std::size_t dot = expr.find_last_of(".>");
+      const std::string last =
+          dot == std::string::npos ? expr : expr.substr(dot + 1);
+      if (names.count(last) != 0) flag(last);
+    }
+    for (std::sregex_iterator it(line.begin(), line.end(), kBegin), end;
+         it != end; ++it) {
+      if (names.count((*it)[1].str()) != 0) flag((*it)[1].str());
+    }
+  }
+}
+
+void rule_no_raw_new_delete(const SourceFile& f, std::vector<Finding>* out) {
+  const std::vector<std::string>& code = f.lexed.view.code;
+  for_each_word(code, "new", [&](std::size_t li, std::size_t pos) {
+    const std::string& s = code[li];
+    if (next_nonspace(s, 0) == '#') return;  // #include <new> etc.
+    // `operator new` overloads declare the allocator itself.
+    if (pos >= 9 && s.compare(pos - 9, 8, "operator") == 0) return;
+    report(f, li, "no-raw-new-delete",
+           "raw 'new'; own allocations through RAII types "
+           "(std::make_unique) or value containers",
+           out);
+  });
+  for_each_word(code, "delete", [&](std::size_t li, std::size_t pos) {
+    const std::string& s = code[li];
+    if (next_nonspace(s, 0) == '#') return;
+    if (prev_nonspace(s, pos) == '=') return;  // = delete; (deleted member)
+    if (pos >= 9 && s.compare(pos - 9, 8, "operator") == 0) return;
+    report(f, li, "no-raw-new-delete",
+           "raw 'delete'; pair every allocation with RAII ownership instead",
+           out);
+  });
+}
+
+void rule_layering(const SourceFile& f, std::vector<Finding>* out) {
+  const auto deps_it = layer_deps().find(f.layer);
+  if (deps_it == layer_deps().end()) return;
+  for (const auto& [inc, line] : f.includes) {
+    const std::size_t slash = inc.find('/');
+    if (slash == std::string::npos) continue;
+    const std::string target = inc.substr(0, slash);
+    if (target == f.layer || known_layers().count(target) == 0) continue;
+    if (deps_it->second.count(target) != 0) continue;
+    report(f, static_cast<std::size_t>(line - 1), "layering",
+           "src/" + f.layer + "/ must not include \"" + target +
+               "/...\": the edge is outside the layer dependency allowlist "
+               "(tools/analyze_core.cc layer_deps; amend it deliberately or "
+               "invert the dependency)",
+           out);
+  }
+}
+
+void rule_no_naked_lock(const SourceFile& f, std::vector<Finding>* out) {
+  static const std::regex kLock(
+      R"((?:\.|->)\s*((?:try_)?(?:un)?lock)\s*\()");
+  const std::vector<std::string>& code = f.lexed.view.code;
+  for (std::size_t li = 0; li < code.size(); ++li) {
+    const std::string& line = code[li];
+    for (std::sregex_iterator it(line.begin(), line.end(), kLock), end;
+         it != end; ++it) {
+      report(f, li, "no-naked-lock",
+             "naked ." + (*it)[1].str() +
+                 "() call; take mutexes through an RAII guard "
+                 "(common::MutexLock) so no exit path leaks the lock",
+             out);
+    }
+  }
+}
+
+void rule_no_deprecated_api(const SourceFile& f, std::vector<Finding>* out) {
+  for (const char* word : {"run_point", "run_sweep"}) {
+    for_each_word(f.lexed.view.code, word, [&](std::size_t li, std::size_t) {
+      report(f, li, "no-deprecated-api",
+             std::string("'") + word +
+                 "' was removed in favour of dse::run(SweepRequest) — see "
+                 "DESIGN.md \"SweepRequest migration\"",
+             out);
+    });
+  }
+}
+
+/// Rule ids allowed on raw line `li` by allow() markers — e.g.
+/// "// ara-lint: allow(no-rand, layering)". An id that names no per-file
+/// rule is reported through `out` as a bad-suppression finding.
+std::set<std::string> line_suppressions(const SourceFile& f, std::size_t li,
+                                        std::vector<Finding>* out) {
+  // Built by concatenation so this file never carries the marker itself.
+  static const std::string kMarker = std::string("ara-lint") + ":";
+  static const std::string kAllow = std::string("allow") + "(";
+  const std::string& raw = f.lexed.view.raw[li];
+  std::set<std::string> ids;
+  std::size_t pos = raw.find(kMarker);
+  while (pos != std::string::npos) {
+    std::size_t open = raw.find(kAllow, pos);
+    if (open == std::string::npos) break;
+    open += kAllow.size();
+    const std::size_t close = raw.find(')', open);
+    if (close == std::string::npos) break;
+    std::string id;
+    for (std::size_t i = open; i <= close; ++i) {
+      const char c = raw[i];
+      if (c == ',' || c == ')') {
+        if (!id.empty()) {
+          if (per_file_rule(id)) {
+            ids.insert(id);
+          } else {
+            report(f, li, "bad-suppression",
+                   "suppression names unknown rule '" + id + "'", out);
+          }
+          id.clear();
+        }
+      } else if (!std::isspace(static_cast<unsigned char>(c))) {
+        id += c;
+      }
+    }
+    pos = raw.find(kMarker, close);
+  }
+  return ids;
+}
+
+/// Run every per-file rule over `f`. A finding is silenced (and counted
+/// in `suppressed`) by an allow() for its rule on the same line, or on a
+/// comment-only line directly above; the rest go to `out`, together with
+/// the bad-suppression findings, which nothing silences.
+void check_file(const SourceFile& f, std::vector<Finding>* out,
+                std::size_t* suppressed) {
+  std::vector<Finding> found;
+  if (!f.layer.empty()) {  // simulator code under src/<layer>/
+    rule_no_rand(f, &found);
+    rule_no_wall_clock(f, &found);
+    rule_no_unordered_iter(f, &found);
+    rule_layering(f, &found);
+  }
+  rule_no_raw_new_delete(f, &found);
+  rule_no_naked_lock(f, &found);
+  rule_no_deprecated_api(f, &found);
+
+  const SourceView& v = f.lexed.view;
+  std::vector<std::set<std::string>> allow(v.raw.size());
+  for (std::size_t li = 0; li < v.raw.size(); ++li) {
+    allow[li] = line_suppressions(f, li, out);
+  }
+  auto comment_only = [&](std::size_t li) {
+    return std::all_of(v.code[li].begin(), v.code[li].end(), [](char c) {
+      return std::isspace(static_cast<unsigned char>(c)) != 0;
+    });
+  };
+  for (Finding& finding : found) {
+    const std::size_t li = static_cast<std::size_t>(finding.line - 1);
+    const bool silenced =
+        allow[li].count(finding.rule) != 0 ||
+        (li > 0 && comment_only(li - 1) &&
+         allow[li - 1].count(finding.rule) != 0);
+    if (silenced) {
+      ++*suppressed;
+    } else {
+      out->push_back(std::move(finding));
+    }
+  }
+}
+
+}  // namespace
 
 // ------------------------------------------------------ include analysis
 
@@ -597,8 +957,8 @@ void analyze_includes(const Corpus& corpus, std::vector<Finding>* out) {
 
   // 2. Transitive layering: the include *closure* of every layered file
   // must stay inside its layer's transitive allowlist. Per-edge legality
-  // is ara_lint's job; this catches paths through unlayered intermediates
-  // (tools/, bench/).
+  // is the per-file layering rule's job; this catches paths through
+  // unlayered intermediates (tools/, bench/).
   std::map<std::string, std::set<std::string>> closures;
   for (std::size_t i = 0; i < corpus.files.size(); ++i) {
     const SourceFile& f = corpus.files[i];
@@ -1352,6 +1712,12 @@ AnalyzeResult analyze(const Corpus& corpus,
   result.files_scanned = corpus.files.size();
   result.docs_scanned = corpus.docs.size();
 
+  // Per-file findings answer to allow() comments only; they skip the
+  // baseline below.
+  for (const SourceFile& f : corpus.files) {
+    check_file(f, &result.findings, &result.suppressed);
+  }
+
   std::vector<Finding> raw;
   analyze_includes(corpus, &raw);
   analyze_lock_order(corpus, &raw);
@@ -1383,7 +1749,8 @@ AnalyzeResult analyze(const Corpus& corpus,
               if (a.file != b.file) return a.file < b.file;
               if (a.line != b.line) return a.line < b.line;
               if (a.rule != b.rule) return a.rule < b.rule;
-              return a.key < b.key;
+              if (a.key != b.key) return a.key < b.key;
+              return a.message < b.message;
             });
   return result;
 }
@@ -1392,12 +1759,14 @@ std::string to_text(const AnalyzeResult& result) {
   std::string out;
   for (const auto& f : result.findings) {
     out += f.file + ":" + std::to_string(f.line) + ": " + f.rule + ": " +
-           f.message + "\n  baseline key: " + f.key + "\n";
+           f.message + "\n";
+    if (!f.key.empty()) out += "  baseline key: " + f.key + "\n";
   }
   out += "ara_analyze: " + std::to_string(result.findings.size()) +
          " finding(s) in " + std::to_string(result.files_scanned) +
          " file(s) + " + std::to_string(result.docs_scanned) + " doc(s), " +
-         std::to_string(result.baselined) + " baselined\n";
+         std::to_string(result.baselined) + " baselined, " +
+         std::to_string(result.suppressed) + " suppressed\n";
   return out;
 }
 
@@ -1419,14 +1788,15 @@ std::string to_json(const AnalyzeResult& result) {
   }
   out += "],\"files_scanned\":" + std::to_string(result.files_scanned) +
          ",\"docs_scanned\":" + std::to_string(result.docs_scanned) +
-         ",\"baselined\":" + std::to_string(result.baselined) + "}\n";
+         ",\"baselined\":" + std::to_string(result.baselined) +
+         ",\"suppressed\":" + std::to_string(result.suppressed) + "}\n";
   return out;
 }
 
 std::string to_baseline(const AnalyzeResult& result) {
   std::set<std::string> keys;
   for (const auto& f : result.findings) {
-    if (f.rule != "stale-baseline") keys.insert(f.key);
+    if (!f.key.empty() && f.rule != "stale-baseline") keys.insert(f.key);
   }
   std::string out =
       "# ara_analyze baseline — one finding key per line, '#' comments.\n"

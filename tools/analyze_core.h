@@ -1,14 +1,37 @@
-// ara_analyze — whole-program static analysis for the ara tree.
+// ara_analyze — the static analyzer for the ara tree.
 //
-// Where ara_lint (tools/lint_core.h) judges one translation unit at a
-// time, this engine parses *every* first-party file once into a shared
-// token/line model and runs analyses that only make sense across files:
+// The engine lexes every first-party file once into a shared token/line
+// model (the Corpus) and runs two kinds of checks over it.
+//
+// Per-file rules judge one translation unit at a time and enforce the
+// source conventions the simulator's determinism and threading
+// guarantees rest on:
+//
+//   bad-suppression      an allow() comment names an unknown per-file rule
+//   layering             a direct #include leaves the layer dependency
+//                        allowlist
+//   no-deprecated-api    a removed API (run_point/run_sweep) is named
+//   no-naked-lock        a direct mutex .lock()/.unlock() call
+//   no-rand              host or non-portable randomness in src/
+//   no-raw-new-delete    raw new/delete instead of RAII/containers
+//   no-unordered-iter    iteration over an unordered container in src/
+//   no-wall-clock        a host clock read in src/ outside the clock seam
+//
+// A per-file finding is silenced only by a comment on the same line, or
+// alone on the line above:
+//
+//     int x = rand();  // ara-lint: allow(no-rand)
+//
+// allow() accepts per-file rule ids only; any other id is a
+// bad-suppression finding, which is itself never suppressible.
+//
+// Cross-file analyses need the whole corpus:
 //
 //   include-cycle        the #include graph contains a cycle
 //   transitive-layering  a file's include *closure* escapes the layer
 //                        matrix even though every individual edge looks
-//                        legal to the per-file linter (e.g. a sim/ file
-//                        reaching serve/ through an unlayered tools/
+//                        legal to the per-file layering rule (e.g. a sim/
+//                        file reaching serve/ through an unlayered tools/
 //                        header)
 //   lock-order           the global mutex acquisition-order graph
 //                        (common::MutexLock sites, grouped per enclosing
@@ -28,31 +51,33 @@
 //   stale-baseline       a baseline entry no longer matches any finding
 //                        (never baselinable itself, so baselines can't rot)
 //
+// A cross-file finding carries a stable key and is silenced only by the
+// baseline file; a per-file finding carries no key, so no baseline can
+// silence it.
+//
 // The engine is deliberately dependency-free (no libclang, no link
 // against the simulator library) so it builds and runs even while the
 // tree it analyses is broken. tools/ara_analyze.cc is the CLI;
-// tests/analyze_test.cc + tests/analyze_fixtures/ pin each analysis both
-// firing on a seeded violation and staying silent on the corrected twin.
-//
-// The lexer here is also the engine behind ara_lint: lint_core consumes
-// lex() so both tools agree exactly on what is code, what is comment,
-// and what is string — including block comments, raw strings (all
-// prefixes), and backslash-newline line splices.
+// tests/lint_test.cc + tests/lint_fixtures/ pin the exact (rule, line)
+// set of every per-file rule, and tests/analyze_test.cc +
+// tests/analyze_fixtures/ pin each cross-file analysis both firing on a
+// seeded violation and staying silent on the corrected twin.
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ara::analyze {
 
 // --------------------------------------------------------------- lexer
 
-/// Per-physical-line views of one file, shared with lint_core. `raw` is
-/// the input verbatim; `code` has comments AND string/char-literal
-/// contents blanked (pattern matching never sees prose); `text` has only
-/// comments blanked (analyses that must read literals use this one).
+/// Per-physical-line views of one file. `raw` is the input verbatim;
+/// `code` has comments AND string/char-literal contents blanked (pattern
+/// matching never sees prose); `text` has only comments blanked (rules
+/// that must read literals use this one).
 struct SourceView {
   std::vector<std::string> raw;
   std::vector<std::string> code;
@@ -80,31 +105,6 @@ struct LexedSource {
 /// splices in every state except raw strings — so a `// comment \`
 /// swallows its continuation line exactly as the real preprocessor does.
 LexedSource lex(const std::string& content);
-
-// -------------------------------------------------- layering model
-// Single source of truth for the layer architecture, consumed by both
-// lint_core (direct-edge rule) and the transitive analysis here.
-
-std::vector<std::string> split_path(const std::string& path);
-
-/// The known src/<layer>/ directory names.
-const std::set<std::string>& known_layers();
-
-/// Layer dependency allowlist: src/<key>/ may #include "dep/..." for
-/// every dep in its set (plus itself and std headers). This is the
-/// project's architecture, frozen: adding an edge is a deliberate
-/// one-line amendment reviewed together with DESIGN.md "Static analysis".
-const std::map<std::string, std::set<std::string>>& layer_deps();
-
-/// The layer a path belongs to ("" when not under a src/<layer>/ tree).
-/// The last src/<layer> match wins so fixture trees nest correctly.
-std::string layer_of(const std::string& path);
-
-/// True when `path`'s trailing components equal `parts` (e.g.
-/// {"src","obs","clock.cc"}) — how file-scoped exemptions match both the
-/// real tree and fixture corpora.
-bool path_ends_with(const std::string& path,
-                    const std::vector<std::string>& parts);
 
 // ------------------------------------------------------------- corpus
 
@@ -142,9 +142,10 @@ struct Finding {
   std::string file;
   int line = 0;
   std::string rule;
-  /// Stable baseline key: rule + canonical detail, no line numbers and
-  /// no absolute paths, so a checked-in baseline survives both line
-  /// churn and checkout location.
+  /// Stable baseline key of a cross-file finding: rule + canonical
+  /// detail, no line numbers and no absolute paths, so a checked-in
+  /// baseline survives both line churn and checkout location. Empty for
+  /// a per-file finding, which only an allow() comment can silence.
   std::string key;
   std::string message;
 };
@@ -152,20 +153,24 @@ struct Finding {
 struct RuleInfo {
   std::string id;
   std::string summary;
+  /// A per-file rule: an allow() comment may name it, and its findings
+  /// carry no baseline key.
+  bool per_file = false;
 };
 
-/// The full analysis catalog, id-sorted.
+/// Every per-file rule and cross-file analysis, id-sorted.
 const std::vector<RuleInfo>& rules();
 
 struct AnalyzeResult {
-  std::vector<Finding> findings;  // unbaselined, file/line ordered
+  std::vector<Finding> findings;  // unsilenced, file/line ordered
   std::size_t files_scanned = 0;
   std::size_t docs_scanned = 0;
-  std::size_t baselined = 0;  // findings silenced by the baseline file
+  std::size_t baselined = 0;   // cross-file findings the baseline silenced
+  std::size_t suppressed = 0;  // per-file findings allow() silenced
 };
 
-// The four analyses, individually callable (tests exercise them in
-// isolation); analyze() runs them all and applies the baseline.
+// The four cross-file analyses, individually callable (tests exercise
+// them in isolation); analyze() runs them all next to the per-file rules.
 void analyze_includes(const Corpus& corpus, std::vector<Finding>* out);
 void analyze_lock_order(const Corpus& corpus, std::vector<Finding>* out);
 void analyze_stats(const Corpus& corpus, std::vector<Finding>* out);
@@ -175,9 +180,11 @@ void analyze_protocol(const Corpus& corpus, std::vector<Finding>* out);
 /// ignored.
 std::set<std::string> parse_baseline(const std::string& content);
 
-/// Run every analysis; findings whose key is baselined are counted and
-/// dropped, and baseline entries matching nothing become stale-baseline
-/// findings (anchored at `baseline_path`).
+/// Run the per-file rules over every file and every cross-file analysis.
+/// Per-file findings under an allow() comment are counted as suppressed;
+/// cross-file findings whose key is baselined are counted as baselined,
+/// and baseline entries matching nothing become stale-baseline findings
+/// (anchored at `baseline_path`).
 AnalyzeResult analyze(const Corpus& corpus,
                       const std::set<std::string>& baseline,
                       const std::string& baseline_path = "");
@@ -189,8 +196,8 @@ std::string to_text(const AnalyzeResult& result);
 /// obs::validate_json).
 std::string to_json(const AnalyzeResult& result);
 
-/// Baseline-file body for --write-baseline: every finding's key, sorted
-/// and deduplicated, under a header comment.
+/// Baseline-file body for --write-baseline: every cross-file finding's
+/// key, sorted and deduplicated, under a header comment.
 std::string to_baseline(const AnalyzeResult& result);
 
 }  // namespace ara::analyze

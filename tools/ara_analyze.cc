@@ -1,9 +1,9 @@
-// ara_analyze — whole-program static analysis CLI.
+// ara_analyze — the static analyzer CLI (engine: tools/analyze_core.h).
 //
 //   ara_analyze [--json] [--baseline FILE] [--write-baseline FILE]
 //               [--doc FILE]... [--list-rules] <path>...
 //
-// Exit codes mirror ara_lint: 0 clean, 1 findings, 2 usage/IO error.
+// Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -15,19 +15,23 @@
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
+void print_usage(std::FILE* out, const char* argv0) {
+  std::fprintf(out,
                "usage: %s [--json] [--baseline FILE] [--write-baseline FILE]"
                " [--doc FILE]... [--list-rules] <path>...\n"
                "  <path>     file or directory scanned recursively for"
                " .h/.hpp/.cc/.cpp\n"
                "  --doc      documentation file cross-referenced by the"
                " stat-name analysis\n"
-               "  --baseline findings whose key is listed are counted, not"
-               " reported\n"
-               "  --write-baseline  write the current finding keys and exit"
-               " 0\n",
+               "  --baseline cross-file findings whose key is listed are"
+               " counted, not reported\n"
+               "  --write-baseline  write the current cross-file finding keys"
+               " and exit 0\n",
                argv0);
+}
+
+int usage(const char* argv0) {
+  print_usage(stderr, argv0);
   return 2;
 }
 
@@ -47,6 +51,9 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--list-rules") {
       list_rules = true;
+    } else if (arg == "--help" || arg == "-h") {
+      print_usage(stdout, argv[0]);
+      return 0;
     } else if (arg == "--baseline") {
       if (++i >= argc) return usage(argv[0]);
       baseline_path = argv[i];
@@ -101,9 +108,11 @@ int main(int argc, char** argv) {
                    write_baseline_path.c_str());
       return 2;
     }
-    out << ara::analyze::to_baseline(result);
+    const std::string body = ara::analyze::to_baseline(result);
+    out << body;
     std::fprintf(stderr, "ara_analyze: wrote %zu key(s) to %s\n",
-                 result.findings.size(), write_baseline_path.c_str());
+                 ara::analyze::parse_baseline(body).size(),
+                 write_baseline_path.c_str());
     return 0;
   }
 
