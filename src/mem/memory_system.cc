@@ -16,6 +16,8 @@ MemorySystem::MemorySystem(noc::Mesh& mesh, const MemorySystemConfig& config,
   config_check(config.num_l2_banks > 0, "need at least one L2 bank");
   config_check(config.num_memory_controllers > 0,
                "need at least one memory controller");
+  config_check(config.mc_interleave > 0,
+               "memory-controller interleave must be positive");
   config_check(l2_nodes_.size() == config.num_l2_banks,
                "L2 node placement size mismatch");
   config_check(mc_nodes_.size() == config.num_memory_controllers,

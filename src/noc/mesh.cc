@@ -11,12 +11,13 @@ Mesh::Mesh(const MeshConfig& config) : config_(config) {
   config_check(config.width > 0 && config.height > 0,
                "mesh dimensions must be positive");
   config_check(config.chunk_bytes > 0, "mesh chunk size must be positive");
+  config_check(config.flit_bytes > 0, "mesh flit size must be positive");
   routers_.reserve(static_cast<std::size_t>(config.width) * config.height);
   for (std::uint32_t y = 0; y < config.height; ++y) {
     for (std::uint32_t x = 0; x < config.width; ++x) {
-      routers_.push_back(std::make_unique<Router>(
-          node_at(x, y), x, y, config.link_bytes_per_cycle,
-          config.local_port_bytes_per_cycle, config.router_latency));
+      routers_.emplace_back(node_at(x, y), x, y, config.link_bytes_per_cycle,
+                            config.local_port_bytes_per_cycle,
+                            config.router_latency);
     }
   }
 }
@@ -29,20 +30,21 @@ std::uint32_t Mesh::hops(NodeId src, NodeId dst) const {
 
 void Mesh::route(NodeId src, NodeId dst) {
   route_.clear();
+  const auto hop = [this](NodeId n, Direction d) {
+    route_.push_back({&routers_[n].port(d), n});
+  };
   std::uint32_t x = x_of(src), y = y_of(src);
   const std::uint32_t tx = x_of(dst), ty = y_of(dst);
   // X first, then Y (deterministic, deadlock-free dimension order).
   while (x != tx) {
-    const Direction d = tx > x ? Direction::kEast : Direction::kWest;
-    route_.push_back({node_at(x, y), d});
+    hop(node_at(x, y), tx > x ? Direction::kEast : Direction::kWest);
     x = tx > x ? x + 1 : x - 1;
   }
   while (y != ty) {
-    const Direction d = ty > y ? Direction::kSouth : Direction::kNorth;
-    route_.push_back({node_at(x, y), d});
+    hop(node_at(x, y), ty > y ? Direction::kSouth : Direction::kNorth);
     y = ty > y ? y + 1 : y - 1;
   }
-  route_.push_back({dst, Direction::kLocal});  // ejection
+  hop(dst, Direction::kLocal);  // ejection
 }
 
 Tick Mesh::transfer(Tick ready_at, NodeId src, NodeId dst, Bytes bytes) {
@@ -69,9 +71,7 @@ Tick Mesh::transfer(Tick ready_at, NodeId src, NodeId dst, Bytes bytes) {
   while (remaining > 0) {
     const Bytes chunk = std::min<Bytes>(remaining, config_.chunk_bytes);
     Tick t = chunk_ready;
-    for (const auto& hop : route_) {
-      t = routers_[hop.router]->port(hop.out).submit(t, chunk);
-    }
+    for (const auto& hop : route_) t = hop.link->submit(t, chunk);
     last_arrival = std::max(last_arrival, t);
     remaining -= chunk;
     // The next chunk can enter the first hop immediately; SharedLink FIFO
@@ -98,7 +98,7 @@ double Mesh::max_link_utilization(Tick elapsed) const {
   for (const auto& r : routers_) {
     for (std::size_t p = 0; p < kNumPorts; ++p) {
       peak = std::max(
-          peak, r->port(static_cast<Direction>(p)).utilization(elapsed));
+          peak, r.port(static_cast<Direction>(p)).utilization(elapsed));
     }
   }
   return peak;

@@ -37,8 +37,8 @@ class Mesh {
   std::uint32_t x_of(NodeId n) const { return n % config_.width; }
   std::uint32_t y_of(NodeId n) const { return n / config_.width; }
 
-  Router& router(NodeId n) { return *routers_[n]; }
-  const Router& router(NodeId n) const { return *routers_[n]; }
+  Router& router(NodeId n) { return routers_[n]; }
+  const Router& router(NodeId n) const { return routers_[n]; }
 
   /// Number of hops on the XY route between two nodes (0 when equal).
   std::uint32_t hops(NodeId src, NodeId dst) const;
@@ -68,17 +68,18 @@ class Mesh {
   void set_stats(sim::StatRegistry& reg);
 
  private:
-  /// One (router, output port) pair on an XY route.
+  /// One output port on an XY route, with the router it belongs to. The
+  /// port lives in routers_, which never reallocates after construction.
   struct Hop {
+    sim::SharedLink* link;
     NodeId router;
-    Direction out;
   };
   /// Fill route_ with the XY route from `src` to `dst`, ending with the
   /// destination's local ejection port.
   void route(NodeId src, NodeId dst);
 
   MeshConfig config_;
-  std::vector<std::unique_ptr<Router>> routers_;
+  std::vector<Router> routers_;
   /// Scratch for route(), reused by every transfer so none allocates.
   std::vector<Hop> route_;
   std::uint64_t flit_hops_ = 0;

@@ -20,25 +20,34 @@ const char* dir_name(Direction d) {
   }
   return "?";
 }
+
+sim::SharedLink make_port(NodeId id, Direction dir, double bytes_per_cycle,
+                          Tick latency) {
+  return sim::SharedLink("noc.r" + std::to_string(id) + "." + dir_name(dir),
+                         bytes_per_cycle, latency);
+}
 }  // namespace
 
 Router::Router(NodeId id, std::uint32_t x, std::uint32_t y,
                double link_bytes_per_cycle, double local_bytes_per_cycle,
                Tick router_latency)
-    : id_(id), x_(x), y_(y) {
-  for (std::size_t p = 0; p < kNumPorts; ++p) {
-    const auto dir = static_cast<Direction>(p);
-    const double bw = dir == Direction::kLocal ? local_bytes_per_cycle
-                                               : link_bytes_per_cycle;
-    ports_[p] = std::make_unique<sim::SharedLink>(
-        "noc.r" + std::to_string(id) + "." + dir_name(dir), bw,
-        router_latency);
-  }
-}
+    : id_(id),
+      x_(x),
+      y_(y),
+      ports_{make_port(id, Direction::kEast, link_bytes_per_cycle,
+                       router_latency),
+             make_port(id, Direction::kWest, link_bytes_per_cycle,
+                       router_latency),
+             make_port(id, Direction::kNorth, link_bytes_per_cycle,
+                       router_latency),
+             make_port(id, Direction::kSouth, link_bytes_per_cycle,
+                       router_latency),
+             make_port(id, Direction::kLocal, local_bytes_per_cycle,
+                       router_latency)} {}
 
 Bytes Router::total_bytes() const {
   Bytes sum = 0;
-  for (const auto& p : ports_) sum += p->total_bytes();
+  for (const auto& p : ports_) sum += p.total_bytes();
   return sum;
 }
 

@@ -6,9 +6,7 @@
 #pragma once
 
 #include <array>
-#include <memory>
-#include <optional>
-#include <string>
+#include <cstdint>
 
 #include "common/types.h"
 #include "sim/shared_link.h"
@@ -31,10 +29,10 @@ class Router {
   /// Output port toward `dir`. All five ports always exist; edge ports that
   /// point off-mesh are never routed to.
   sim::SharedLink& port(Direction dir) {
-    return *ports_[static_cast<std::size_t>(dir)];
+    return ports_[static_cast<std::size_t>(dir)];
   }
   const sim::SharedLink& port(Direction dir) const {
-    return *ports_[static_cast<std::size_t>(dir)];
+    return ports_[static_cast<std::size_t>(dir)];
   }
 
   /// Total bytes forwarded through this router (all ports).
@@ -43,7 +41,7 @@ class Router {
  private:
   NodeId id_;
   std::uint32_t x_, y_;
-  std::array<std::unique_ptr<sim::SharedLink>, kNumPorts> ports_;
+  std::array<sim::SharedLink, kNumPorts> ports_;
 };
 
 }  // namespace ara::noc

@@ -33,67 +33,99 @@ Tick SharedLink::submit(Tick ready_at, Bytes bytes) {
   if (occupancy == 0) occupancy = 1;
 
   // Find the earliest gap of `occupancy` cycles at or after ready_at.
+  Interval* const iv = busy_.data();
+  const std::size_t n = busy_.size();
+  std::size_t i = first_after(ready_at);
   Tick start = ready_at;
-  auto it = first_after(ready_at);
-  if (it != busy_.begin() && std::prev(it)->second > start) {
-    start = std::prev(it)->second;  // inside an interval
+  if (i > 0 && iv[i - 1].end > start) {
+    start = iv[i - 1].end;  // inside an interval
   }
-  while (it != busy_.end() && start + occupancy > it->first) {
-    start = it->second;
-    ++it;
+  while (i < n && start + occupancy > iv[i].start) {
+    start = iv[i].end;
+    ++i;
   }
   const Tick end = start + occupancy;
 
-  // Insert [start, end) before `it`, merging with adjacent intervals.
-  const bool joins_prev = it != busy_.begin() && std::prev(it)->second == start;
-  const bool joins_next = it != busy_.end() && it->first == end;
+  // Insert [start, end) before position i, merging with adjacent intervals.
+  const bool joins_prev = i > 0 && iv[i - 1].end == start;
+  const bool joins_next = i < n && iv[i].start == end;
   if (joins_prev && joins_next) {
-    std::prev(it)->second = it->second;
-    busy_.erase(it);
+    iv[i - 1].end = iv[i].end;
+    busy_.erase(busy_.begin() + static_cast<std::ptrdiff_t>(i));
+    finger_ = i - 1;
   } else if (joins_prev) {
-    std::prev(it)->second = end;
+    iv[i - 1].end = end;
+    finger_ = i - 1;
   } else if (joins_next) {
-    it->first = start;
+    iv[i].start = start;
+    finger_ = i;
   } else {
-    busy_.insert(it, {start, end});
+    busy_.insert(busy_.begin() + static_cast<std::ptrdiff_t>(i),
+                 Interval{start, end});
+    finger_ = i;
   }
 
   busy_cycles_ += occupancy;
   total_bytes_ += bytes;
   ++transfers_;
   if (start > high_watermark_) high_watermark_ = start;
-  if (busy_.size() > kCompactThreshold) compact();
+  if (busy_.size() > kCompactThreshold && high_watermark_ >= kCompactHorizon) {
+    compact();
+  }
   return end + latency_;
 }
 
-std::vector<SharedLink::Interval>::iterator SharedLink::first_after(Tick t) {
-  // Payloads are mostly ready near the tail: gallop back from it, then
-  // binary-search the last stride. Every interval in [hi, end) starts after t.
-  auto hi = busy_.end();
-  for (std::ptrdiff_t stride = 1; hi != busy_.begin(); stride *= 2) {
-    const auto probe = hi - std::min(stride, hi - busy_.begin());
-    if (probe->first <= t) {
-      return std::upper_bound(
-          probe, hi, t, [](Tick x, const Interval& iv) { return x < iv.first; });
+std::size_t SharedLink::first_after(Tick t) const {
+  // Gallop outward from the finger until [lo, hi] brackets the answer:
+  // every interval before lo starts at or before t, and hi is the end or
+  // starts after t. Then binary-search that last stride.
+  const Interval* const iv = busy_.data();
+  const std::size_t n = busy_.size();
+  std::size_t lo = 0;
+  std::size_t hi = std::min(finger_, n);
+  if (hi < n && iv[hi].start <= t) {
+    for (std::size_t stride = 1;; stride *= 2) {
+      lo = hi + 1;
+      hi = std::min(lo + stride - 1, n);
+      if (hi == n || iv[hi].start > t) break;
     }
-    hi = probe;
+  } else {
+    for (std::size_t stride = 1; hi > 0; stride *= 2) {
+      const std::size_t probe = hi - std::min(stride, hi);
+      if (iv[probe].start <= t) {
+        lo = probe + 1;
+        break;
+      }
+      hi = probe;
+    }
   }
-  return hi;
+  // Branch-free upper bound over [lo, hi): the answer stays in
+  // [base, base + len] while len shrinks.
+  const Interval* base = iv + lo;
+  std::size_t len = hi - lo;
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    base += base[half].start <= t ? half : 0;
+    len -= half;
+  }
+  base += len == 1 && base->start <= t ? 1 : 0;
+  return static_cast<std::size_t>(base - iv);
 }
 
 void SharedLink::compact() {
-  if (high_watermark_ < kCompactHorizon) return;
   const Tick cutoff = high_watermark_ - kCompactHorizon;
   // Replace everything ending at or before `cutoff` (a prefix: the ends are
   // sorted too) with one blocker interval.
   const auto old_end =
       std::partition_point(busy_.begin(), busy_.end(), [&](const Interval& iv) {
-        return iv.second <= cutoff;
+        return iv.end <= cutoff;
       });
   if (old_end == busy_.begin()) return;
   const Tick blocker_end =
-      old_end == busy_.end() ? cutoff : std::min(cutoff, old_end->first);
-  busy_.front().second = blocker_end;
+      old_end == busy_.end() ? cutoff : std::min(cutoff, old_end->start);
+  busy_.front().end = blocker_end;
+  const auto merged = static_cast<std::size_t>(old_end - busy_.begin()) - 1;
+  finger_ = finger_ > merged ? finger_ - merged : 0;
   busy_.erase(std::next(busy_.begin()), old_end);
 }
 

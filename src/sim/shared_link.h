@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -59,19 +58,26 @@ class SharedLink {
   std::size_t reservation_intervals() const { return busy_.size(); }
 
  private:
-  /// [start, end) of one busy interval.
-  using Interval = std::pair<Tick, Tick>;
+  /// [start, end) of one busy interval. Trivially copyable, so an insert or
+  /// erase shifts the suffix with one memmove.
+  struct Interval {
+    Tick start;
+    Tick end;
+  };
 
-  /// First interval starting after `t` (end() if none).
-  std::vector<Interval>::iterator first_after(Tick t);
+  /// Index of the first interval starting after `t` (busy_.size() if none).
+  std::size_t first_after(Tick t) const;
   void compact();
 
   std::string name_;
   double bytes_per_cycle_;
   Tick latency_;
-  /// Non-overlapping busy intervals sorted by start tick. Most reservations
-  /// land at or near the tail, so an insert moves only a short suffix.
+  /// Non-overlapping busy intervals sorted by start tick.
   std::vector<Interval> busy_;
+  /// Index of the interval the last submit() wrote. Most payloads land
+  /// within one position of the previous one on the same link, so the
+  /// search starts here.
+  std::size_t finger_ = 0;
   Tick busy_cycles_ = 0;
   Bytes total_bytes_ = 0;
   std::uint64_t transfers_ = 0;

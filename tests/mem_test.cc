@@ -1,11 +1,16 @@
 // Unit tests for the memory system: controllers, L2 banks, MemorySystem.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/config_error.h"
 #include "mem/l2_cache.h"
 #include "mem/memory_controller.h"
 #include "mem/memory_system.h"
 #include "noc/mesh.h"
+#include "sim/rng.h"
+#include "sim/shared_link.h"
 
 namespace ara::mem {
 namespace {
@@ -74,6 +79,51 @@ TEST(L2Bank, FlushDropsEverything) {
   bank.access(0, 0x2000, false);
   bank.flush();
   EXPECT_FALSE(bank.access(0, 0x2000, false).hit);
+}
+
+// Random block addresses through a 4-set, 4-way bank, checked access by
+// access against a per-set recency list (most recent first). The bank's
+// port is modelled as a link of the same bandwidth and latency, and one
+// flush mid-stream empties every list.
+TEST(L2Bank, MatchesLruModel) {
+  L2BankConfig c = small_l2();
+  c.capacity = 16 * c.block_bytes;  // 4 sets of 4 ways
+  L2Bank bank("l2", c);
+  const std::size_t sets = (c.capacity / c.block_bytes) / c.associativity;
+  std::vector<std::vector<Addr>> recency(sets);
+  sim::SharedLink port("model", c.port_bytes_per_cycle, c.hit_latency);
+  sim::Rng rng(17);
+  std::uint64_t hits = 0, misses = 0;
+  Tick now = 0;
+  for (int i = 0; i < 4000; ++i) {
+    if (i == 2000) {
+      bank.flush();
+      for (auto& list : recency) list.clear();
+    }
+    now += rng.next_below(8);
+    const Addr block = rng.next_below(40);  // 10 blocks per set
+    const Addr addr = block * c.block_bytes + rng.next_below(c.block_bytes);
+    auto& list = recency[block % sets];
+    const auto pos = std::find(list.begin(), list.end(), block);
+    const bool want_hit = pos != list.end();
+    if (want_hit) {
+      list.erase(pos);
+      ++hits;
+    } else {
+      if (list.size() == c.associativity) list.pop_back();  // evict LRU
+      ++misses;
+    }
+    list.insert(list.begin(), block);
+
+    const auto got = bank.access(now, addr, rng.next_below(4) == 0);
+    ASSERT_EQ(got.hit, want_hit) << "access " << i << " to block " << block;
+    ASSERT_EQ(got.bank_done, port.submit(now, c.block_bytes))
+        << "access " << i;
+    ASSERT_EQ(bank.hits(), hits);
+    ASSERT_EQ(bank.misses(), misses);
+  }
+  EXPECT_GT(hits, 500u);
+  EXPECT_GT(misses, 500u);
 }
 
 TEST(L2Bank, RejectsBadConfig) {
@@ -171,6 +221,14 @@ TEST(MemorySystemConfigTest, RejectsMismatchedPlacement) {
   noc::Mesh mesh{noc::MeshConfig{}};
   MemorySystemConfig cfg;
   EXPECT_THROW(MemorySystem(mesh, cfg, {0, 1}, {2, 3, 4, 5}), ConfigError);
+}
+
+TEST(MemorySystemConfigTest, RejectsZeroControllerInterleave) {
+  noc::Mesh mesh{noc::MeshConfig{}};
+  MemorySystemConfig cfg;
+  cfg.num_l2_banks = 1;
+  cfg.mc_interleave = 0;  // the divisor in every controller lookup
+  EXPECT_THROW(MemorySystem(mesh, cfg, {0}, {2, 3, 4, 5}), ConfigError);
 }
 
 }  // namespace

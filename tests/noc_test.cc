@@ -127,5 +127,11 @@ TEST(Mesh, RejectsZeroDimensions) {
   EXPECT_THROW(Mesh m(c), ConfigError);
 }
 
+TEST(Mesh, RejectsZeroFlitBytes) {
+  MeshConfig c = small_config();
+  c.flit_bytes = 0;  // the divisor in every transfer's flit count
+  EXPECT_THROW(Mesh m(c), ConfigError);
+}
+
 }  // namespace
 }  // namespace ara::noc

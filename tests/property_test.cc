@@ -176,6 +176,169 @@ TEST_P(SharedLinkProperty, MatchesCycleOccupancyModel) {
   expect_same_state(3000);
 }
 
+// Reference SharedLink: the sorted-vector algorithm as first written, over a
+// std::pair vector, with the same 2^21-cycle compaction horizon and
+// 4096-interval threshold. Any faster SharedLink must return the same ticks
+// and hold the same intervals, compaction included.
+class PairVectorLink {
+ public:
+  PairVectorLink(double bytes_per_cycle, Tick latency)
+      : bytes_per_cycle_(bytes_per_cycle), latency_(latency) {}
+
+  Tick submit(Tick ready_at, Bytes bytes) {
+    if (bytes == 0) return ready_at + latency_;
+    auto occupancy = static_cast<Tick>(
+        std::ceil(static_cast<double>(bytes) / bytes_per_cycle_));
+    if (occupancy == 0) occupancy = 1;
+
+    Tick start = ready_at;
+    auto it = first_after(ready_at);
+    if (it != busy_.begin() && std::prev(it)->second > start) {
+      start = std::prev(it)->second;
+    }
+    while (it != busy_.end() && start + occupancy > it->first) {
+      start = it->second;
+      ++it;
+    }
+    const Tick end = start + occupancy;
+
+    const bool joins_prev =
+        it != busy_.begin() && std::prev(it)->second == start;
+    const bool joins_next = it != busy_.end() && it->first == end;
+    if (joins_prev && joins_next) {
+      std::prev(it)->second = it->second;
+      busy_.erase(it);
+    } else if (joins_prev) {
+      std::prev(it)->second = end;
+    } else if (joins_next) {
+      it->first = start;
+    } else {
+      busy_.insert(it, {start, end});
+    }
+
+    busy_cycles_ += occupancy;
+    if (start > high_watermark_) high_watermark_ = start;
+    if (busy_.size() > kThreshold) compact();
+    return end + latency_;
+  }
+
+  std::size_t intervals() const { return busy_.size(); }
+  Tick busy_cycles() const { return busy_cycles_; }
+  /// Number of compact() calls that merged at least one interval away.
+  std::uint64_t merges() const { return merges_; }
+
+ private:
+  using Interval = std::pair<Tick, Tick>;
+  static constexpr Tick kHorizon = Tick{1} << 21;
+  static constexpr std::size_t kThreshold = 4096;
+
+  std::vector<Interval>::iterator first_after(Tick t) {
+    auto hi = busy_.end();
+    for (std::ptrdiff_t stride = 1; hi != busy_.begin(); stride *= 2) {
+      const auto probe = hi - std::min(stride, hi - busy_.begin());
+      if (probe->first <= t) {
+        return std::upper_bound(
+            probe, hi, t,
+            [](Tick x, const Interval& iv) { return x < iv.first; });
+      }
+      hi = probe;
+    }
+    return hi;
+  }
+
+  void compact() {
+    if (high_watermark_ < kHorizon) return;
+    const Tick cutoff = high_watermark_ - kHorizon;
+    const auto old_end = std::partition_point(
+        busy_.begin(), busy_.end(),
+        [&](const Interval& iv) { return iv.second <= cutoff; });
+    if (old_end == busy_.begin()) return;
+    const Tick blocker_end =
+        old_end == busy_.end() ? cutoff : std::min(cutoff, old_end->first);
+    busy_.front().second = blocker_end;
+    if (std::next(busy_.begin()) != old_end) ++merges_;
+    busy_.erase(std::next(busy_.begin()), old_end);
+  }
+
+  double bytes_per_cycle_;
+  Tick latency_;
+  std::vector<Interval> busy_;
+  Tick busy_cycles_ = 0;
+  Tick high_watermark_ = 0;
+  std::uint64_t merges_ = 0;
+};
+
+// Long random streams that carry two links past the 2^21-cycle compaction
+// horizon while each holds more than 4096 intervals, checked submit by
+// submit against PairVectorLink: the returned tick, the interval count and
+// the busy cycles. The interval count is compared after every submit
+// because a miscounted merge lasts only until the next compaction. The
+// streams mix appends at the tail,
+// inserts far behind the previous insert, far-future reservations (which
+// move the high watermark and so the compaction cutoff ahead of the
+// stream), zero-byte payloads and payload sizes that change from submit to
+// submit.
+TEST_P(SharedLinkProperty, MatchesReferenceThroughCompaction) {
+  sim::Rng rng(GetParam());
+  constexpr double kBandwidths[] = {2.5, 10.0, 16.0, 32.0};
+  constexpr Bytes kSizes[] = {16, 64, 64, 64, 0, 7, 100, 200};
+  constexpr std::uint64_t kLinks = 2;
+  std::vector<sim::SharedLink> links;
+  std::vector<PairVectorLink> refs;
+  for (std::uint64_t l = 0; l < kLinks; ++l) {
+    const double bw = kBandwidths[rng.next_below(std::size(kBandwidths))];
+    const Tick latency = rng.next_below(4);
+    links.emplace_back("r" + std::to_string(l), bw, latency);
+    refs.emplace_back(bw, latency);
+  }
+  std::size_t most_intervals_past_horizon = 0;
+  Tick now = 0;
+  constexpr int kSubmits = 14'000;
+  for (int i = 0; i < kSubmits; ++i) {
+    now += rng.next_below(400);
+    Tick ready = now + rng.next_below(4);
+    const auto kind = rng.next_below(2000);
+    if (kind < 1) {
+      ready = now + 20'000 + rng.next_below(300'000);  // far future
+    } else if (kind < 10) {
+      ready = now + 2'000 + rng.next_below(30'000);  // future
+    } else if (kind < 20) {
+      // Into the compacted blocker once the stream is past the horizon.
+      ready = now - std::min<Tick>(now, rng.next_below(3'000'000));
+    } else if (kind < 200) {
+      ready = now - std::min<Tick>(now, rng.next_below(400'000));  // far back
+    } else if (kind < 500) {
+      ready = now - std::min<Tick>(now, rng.next_below(2'000));  // near
+    }
+    const Bytes bytes = kSizes[rng.next_below(std::size(kSizes))];
+    const auto first = rng.next_below(kLinks);
+    Tick got = ready;
+    Tick want = ready;
+    for (auto l = first; l < kLinks; ++l) {
+      got = links[l].submit(got, bytes);
+      want = refs[l].submit(want, bytes);
+      ASSERT_EQ(got, want) << "submit " << i << " on link " << l << ", "
+                           << bytes << " bytes ready at " << ready;
+      ASSERT_EQ(links[l].reservation_intervals(), refs[l].intervals())
+          << "submit " << i << " on link " << l;
+      ASSERT_EQ(links[l].busy_cycles(), refs[l].busy_cycles())
+          << "submit " << i << " on link " << l;
+    }
+    if (now >= (Tick{1} << 21)) {
+      for (const auto& link : links) {
+        most_intervals_past_horizon = std::max(most_intervals_past_horizon,
+                                               link.reservation_intervals());
+      }
+    }
+  }
+  // The stream really reached compaction: past the horizon with more than
+  // 4096 intervals on a link, and intervals were merged away.
+  EXPECT_GT(most_intervals_past_horizon, 4096u);
+  std::uint64_t merges = 0;
+  for (const auto& ref : refs) merges += ref.merges();
+  EXPECT_GT(merges, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedLinkProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
