@@ -12,7 +12,6 @@
 #include "cmp/cmp_model.h"
 #include "dse/sweep.h"
 #include "dse/table.h"
-#include "workloads/out_of_domain.h"
 #include "workloads/registry.h"
 #include "workloads/workload.h"
 
@@ -93,7 +92,7 @@ void sec2() {
   double sp_sum = 0, eg_sum = 0;
   int cn = 0;
   for (const auto& name : workloads::out_of_domain_names()) {
-    auto wl = workloads::make_out_of_domain(name, scale);
+    auto wl = workloads::make_benchmark(name, scale);
     std::size_t fabric = 0;
     for (const auto& node : wl.dfg.nodes()) fabric += node.needs_fabric;
     const auto r = benchutil::metered_point(name + ", CAMEL", camel, wl);

@@ -8,7 +8,8 @@
 //           [--rings N] [--width BYTES] [--ports 1|2] [--sharing]
 //           [--scale F] [--mono] [--csv] [--trace FILE] [--metrics FILE]
 //           [--offline N] [--policy fifo|sjf|ljf] [--list]
-#include <cstring>
+#include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -82,6 +83,16 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto count = [&](std::uint64_t max) -> std::uint64_t {
+      const std::string value = next();
+      std::uint64_t v = 0;
+      if (!common::parse_unsigned(value, max, &v)) {
+        std::cerr << arg << ": expected an integer from 0 to " << max
+                  << ", got '" << value << "'\n";
+        exit(2);
+      }
+      return v;
+    };
     if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -93,15 +104,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--bench") {
       bench = next();
     } else if (arg == "--islands") {
-      spec.islands = static_cast<std::uint32_t>(std::stoul(next()));
+      spec.islands = static_cast<std::uint32_t>(count(UINT32_MAX));
     } else if (arg == "--net") {
       spec.net = next();
     } else if (arg == "--rings") {
-      spec.rings = static_cast<std::uint32_t>(std::stoul(next()));
+      spec.rings = static_cast<std::uint32_t>(count(UINT32_MAX));
     } else if (arg == "--width") {
-      spec.link_bytes = std::stoul(next());
+      spec.link_bytes = count(UINT64_MAX);
     } else if (arg == "--ports") {
-      spec.ports = static_cast<std::uint32_t>(std::stoul(next()));
+      spec.ports = static_cast<std::uint32_t>(count(UINT32_MAX));
     } else if (arg == "--sharing") {
       spec.sharing = true;
     } else if (arg == "--mono") {
@@ -109,9 +120,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--policy") {
       spec.policy = next();
     } else if (arg == "--offline") {
-      offline = static_cast<std::uint32_t>(std::stoul(next()));
+      offline = static_cast<std::uint32_t>(count(UINT32_MAX));
     } else if (arg == "--scale") {
-      scale = std::stod(next());
+      const std::string value = next();
+      char* end = nullptr;
+      scale = std::strtod(value.c_str(), &end);
+      if (value.empty() || *end != '\0') {
+        std::cerr << "--scale: expected a number, got '" << value << "'\n";
+        return 2;
+      }
     } else if (arg == "--csv") {
       csv = true;
     } else {
@@ -121,18 +138,19 @@ int main(int argc, char** argv) {
   }
 
   core::ArchConfig cfg;
+  workloads::Workload wl;
   try {
     cfg = spec.to_config();
+    wl = workloads::make_benchmark(bench, scale);
   } catch (const ConfigError& e) {
-    // Bad knob value (unknown net/policy name) is a usage error, same as
-    // an unknown flag.
+    // Bad knob value (unknown benchmark, net or policy name, or a scale
+    // make_benchmark rejects) is a usage error, same as an unknown flag.
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
   cfg.trace_enabled = !trace_file.empty();
 
   try {
-    const auto wl = workloads::make_benchmark(bench, scale);
     core::System system(cfg);
     for (std::uint32_t i = 0; i < offline && i < system.island_count(); ++i) {
       system.composer().set_island_offline(i, true);

@@ -24,6 +24,7 @@
 
 #include "check/check.h"
 #include "common/cli_options.h"
+#include "common/config_error.h"
 #include "dse/parallel_sweep.h"
 #include "dse/result_cache.h"
 #include "dse/sweep.h"
@@ -72,7 +73,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto wl = workloads::make_benchmark(bench, 0.25);
+  workloads::Workload wl;
+  try {
+    wl = workloads::make_benchmark(bench, 0.25);
+  } catch (const ConfigError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    usage(std::cerr);
+    return 2;
+  }
   std::cout << "exploring design space for " << bench << " ("
             << wl.dfg.size() << " tasks/invocation, chaining degree "
             << dse::Table::num(wl.dfg.chaining_degree(), 2) << ")\n\n";

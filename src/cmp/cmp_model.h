@@ -6,8 +6,8 @@
 // efficiency for time, package power x time for energy — because the
 // paper's own numbers come from wall-socket measurements of machines we do
 // not have; the workload's software cost (cycles per invocation) carries
-// the per-benchmark character and is calibrated in
-// src/workloads/calibration.h.
+// the per-benchmark character and is calibrated in the benchmark table
+// (src/workloads/registry.cc).
 #pragma once
 
 #include <cstdint>

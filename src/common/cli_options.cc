@@ -1,9 +1,23 @@
 #include "common/cli_options.h"
 
+#include <charconv>
+#include <climits>
 #include <cstdlib>
 #include <string_view>
 
 namespace ara::common {
+
+bool parse_unsigned(std::string_view text, std::uint64_t max,
+                    std::uint64_t* out) {
+  // from_chars takes no sign, whitespace or prefix for an unsigned type and
+  // reports overflow instead of wrapping.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || value > max) return false;
+  *out = value;
+  return true;
+}
 
 namespace {
 
@@ -39,12 +53,9 @@ bool truthy(std::string_view v) {
   return !v.empty() && v != "0" && v != "off" && v != "false";
 }
 
-bool parse_jobs_value(const std::string& text, unsigned* out) {
-  // strtoul would happily wrap "-1" to ULONG_MAX; require plain digits.
-  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
+bool parse_jobs_value(std::string_view text, unsigned* out) {
+  std::uint64_t v = 0;
+  if (!parse_unsigned(text, UINT_MAX, &v)) return false;
   *out = static_cast<unsigned>(v);
   return true;
 }
@@ -58,8 +69,8 @@ CliOptions CliOptions::parse(int& argc, char** argv, unsigned accept) {
   if ((accept & kJobs) != 0) {
     if (const char* s = std::getenv("ARA_JOBS")) {
       if (!parse_jobs_value(s, &opts.jobs)) {
-        opts.error = "ARA_JOBS: expected a non-negative integer, got '" +
-                     std::string(s) + "'";
+        opts.error = "ARA_JOBS: expected an integer from 0 to " +
+                     std::to_string(UINT_MAX) + ", got '" + s + "'";
       }
     }
   }
@@ -101,8 +112,8 @@ CliOptions CliOptions::parse(int& argc, char** argv, unsigned accept) {
         (consumed = match("--jobs", i, argc, argv, &value)) != 0) {
       flag = "--jobs";
       if (consumed > 0 && !parse_jobs_value(value, &opts.jobs)) {
-        opts.error = "--jobs: expected a non-negative integer, got '" +
-                     value + "'";
+        opts.error = "--jobs: expected an integer from 0 to " +
+                     std::to_string(UINT_MAX) + ", got '" + value + "'";
       }
     } else if ((accept & kMetrics) != 0 &&
                (consumed = match("--metrics", i, argc, argv, &value)) != 0) {

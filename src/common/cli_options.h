@@ -11,9 +11,19 @@
 // flag is documented exactly once.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace ara::common {
+
+/// The one unsigned-integer parser of every front end (CLI flags, ARA_JOBS,
+/// serve protocol fields): `text` must be plain decimal digits (no sign,
+/// space, fraction or exponent) with a value of at most `max`. Returns false
+/// and leaves `*out` untouched otherwise, so "-1" or "4294967296" for a
+/// 32-bit field is an error instead of a wrapped value.
+bool parse_unsigned(std::string_view text, std::uint64_t max,
+                    std::uint64_t* out);
 
 struct CliOptions {
   enum Flag : unsigned {

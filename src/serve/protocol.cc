@@ -6,10 +6,10 @@
 
 #include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
+#include "common/cli_options.h"
 #include "common/config_error.h"
 #include "dse/result_cache.h"
 #include "obs/json_io.h"
@@ -72,16 +72,7 @@ bool take_string(const obs::JsonValue& obj, const char* name,
 // small value and simulate a different design point than requested.
 bool number_to_u64(const obs::JsonValue& v, std::uint64_t max,
                    std::uint64_t* out) {
-  if (!v.is_number() || v.text.empty()) return false;
-  for (const char c : v.text) {
-    if (c < '0' || c > '9') return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long val = std::strtoull(v.text.c_str(), &end, 10);
-  if (errno == ERANGE || *end != '\0' || val > max) return false;
-  *out = val;
-  return true;
+  return v.is_number() && common::parse_unsigned(v.text, max, out);
 }
 
 bool take_u32(const obs::JsonValue& obj, const char* name,

@@ -100,10 +100,4 @@ dataflow::Dfg generate_dfg(const std::string& name, const DfgGenParams& p) {
   return dfg;
 }
 
-Bytes workload_input_bytes(const Workload& w) { return w.dfg.total_mem_in(); }
-
-Bytes workload_output_bytes(const Workload& w) {
-  return w.dfg.total_mem_out();
-}
-
 }  // namespace ara::workloads

@@ -4,10 +4,11 @@
 // The paper's workloads come from the Medical Imaging pipeline (Deblur,
 // Denoise, Segmentation, Registration) and the Navigation domain (Robot
 // Localization, EKF-SLAM, Disparity Map), described in [6, 8, 9]. The
-// originals are proprietary CDSC applications; here each benchmark is a
-// parameterized DFG generator whose knobs (ABB mix, chaining degree, data
-// volumes, software cost) are calibrated to reproduce the paper's relative
-// behaviour. See DESIGN.md Sec. 2 for the substitution rationale.
+// originals are proprietary CDSC applications; here each benchmark is one
+// row of generator knobs (ABB mix, chaining degree, data volumes, software
+// cost) in the table of workloads/registry.cc, calibrated to reproduce the
+// paper's relative behaviour. See DESIGN.md Sec. 2 for the substitution
+// rationale.
 #pragma once
 
 #include <cstdint>
@@ -72,10 +73,5 @@ struct DfgGenParams {
 /// Build a DFG with the requested structure. Deterministic for a given
 /// params value.
 dataflow::Dfg generate_dfg(const std::string& name, const DfgGenParams& p);
-
-/// Total bytes of input buffer one invocation streams from memory.
-Bytes workload_input_bytes(const Workload& w);
-/// Total bytes of output buffer one invocation stores to memory.
-Bytes workload_output_bytes(const Workload& w);
 
 }  // namespace ara::workloads

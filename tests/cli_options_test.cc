@@ -3,6 +3,7 @@
 // the accept bitmask, malformed-value reporting, and help text coverage.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -120,7 +121,8 @@ TEST(CliOptions, ExplicitFlagBeatsEnvironment) {
 
 TEST(CliOptions, MalformedJobsValueIsAnError) {
   ScopedEnv jobs("ARA_JOBS", nullptr);  // make sure env can't interfere
-  for (const char* bad : {"banana", "4x", "", "-1"}) {
+  for (const char* bad :
+       {"banana", "4x", "", "-1", "4294967297", "99999999999999999999"}) {
     Argv a({"--jobs", bad});
     const auto opts = CliOptions::parse(a.argc(), a.data(), kAll);
     EXPECT_FALSE(opts.ok()) << "accepted --jobs " << bad;
@@ -134,6 +136,23 @@ TEST(CliOptions, MalformedEnvironmentValueIsAnError) {
   const auto opts = CliOptions::parse(a.argc(), a.data(), kAll);
   EXPECT_FALSE(opts.ok());
   EXPECT_NE(opts.error.find("ARA_JOBS"), std::string::npos) << opts.error;
+}
+
+TEST(CliOptions, ParseUnsignedChecksDigitsAndRange) {
+  std::uint64_t v = 7;
+  for (const char* bad :
+       {"", "-1", "+1", " 1", "1 ", "two", "1e3", "4294967296"}) {
+    EXPECT_FALSE(parse_unsigned(bad, UINT32_MAX, &v)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(v, 7u);  // untouched by a rejected value
+  ASSERT_TRUE(parse_unsigned("0", UINT32_MAX, &v));
+  EXPECT_EQ(v, 0u);
+  ASSERT_TRUE(parse_unsigned("4294967295", UINT32_MAX, &v));
+  EXPECT_EQ(v, 4294967295u);
+  // Past 64 bits is an overflow, not a wrap.
+  EXPECT_FALSE(parse_unsigned("99999999999999999999", UINT64_MAX, &v));
+  ASSERT_TRUE(parse_unsigned("18446744073709551615", UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
 }
 
 TEST(CliOptions, MissingValueIsAnError) {

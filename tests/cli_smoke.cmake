@@ -1,8 +1,9 @@
 # Smoke test for the observability exporters and the on-disk result cache:
-# run ara_sim with --trace and --metrics on a small config, validate every
-# produced file with the strict JSON checker (ara_json_check, no external
-# deps), then exercise design_space_explorer's --cache directory — cold
-# write, warm re-read, and corrupt-file tolerance. Invoked by ctest as:
+# check that malformed arguments are usage errors, run ara_sim with --trace
+# and --metrics on a small config, validate every produced file with the
+# strict JSON checker (ara_json_check, no external deps), then exercise
+# design_space_explorer's --cache directory — cold write, warm re-read, and
+# corrupt-file tolerance. Invoked by ctest as:
 #   cmake -DCLI=<ara_sim> -DDSE=<design_space_explorer>
 #         -DCHECK=<ara_json_check> -DOUT_DIR=<dir> -P cli_smoke.cmake
 foreach(var CLI DSE CHECK OUT_DIR)
@@ -13,6 +14,28 @@ foreach(var CLI DSE CHECK OUT_DIR)
     message(FATAL_ERROR "cli_smoke.cmake: ${var} ${${var}} does not exist")
   endif()
 endforeach()
+
+# --- malformed arguments ----------------------------------------------------
+# A bad value exits 2 with a message naming what was wrong, before anything
+# simulates: no uncaught exception, no wrapped integer, no silent default.
+function(expect_usage_error needle)
+  execute_process(
+    COMMAND ${ARGN}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "${needle}")
+    message(FATAL_ERROR "expected exit 2 and '${needle}' on stderr from "
+                        "${ARGN}, got ${rc}:\n${out}\n${err}")
+  endif()
+endfunction()
+
+expect_usage_error("--islands" "${CLI}" --islands banana)
+expect_usage_error("--islands" "${CLI}" --islands 4294967299)
+expect_usage_error("--scale" "${CLI}" --scale x)
+expect_usage_error("scale must be finite" "${CLI}" --scale -1)
+expect_usage_error("unknown benchmark 'Nonesuch'" "${DSE}" Nonesuch)
+expect_usage_error("--jobs" "${DSE}" --jobs 4294967297)
 
 file(MAKE_DIRECTORY "${OUT_DIR}")
 set(trace_file "${OUT_DIR}/smoke_trace.json")

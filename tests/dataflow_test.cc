@@ -166,6 +166,21 @@ TEST(Decomposer, DirectOpsGetDedicatedBlocks) {
   EXPECT_EQ(result.direct_ops, 2u);
   EXPECT_EQ(result.dfg.size(), 2u);
   EXPECT_EQ(result.dfg.chain_edges(), 1u);  // div -> sqrt
+
+  // exp, log and pow each get a dedicated power block.
+  KernelIr pw("p", 32);
+  const auto x = pw.input();
+  const auto y = pw.input();
+  const auto e = pw.unary(IrOp::kExp, x);
+  const auto l = pw.unary(IrOp::kLog, e);
+  const auto p = pw.binary(IrOp::kPow, l, y);
+  pw.mark_output(p);
+  const auto powers = Decomposer().decompose(pw);
+  EXPECT_EQ(powers.direct_ops, 3u);
+  ASSERT_EQ(powers.dfg.size(), 3u);
+  for (const auto& n : powers.dfg.nodes()) {
+    EXPECT_EQ(n.kind, abb::AbbKind::kPower);
+  }
 }
 
 TEST(Decomposer, SplitsGroupsAtSixteenInputs) {
@@ -218,6 +233,15 @@ TEST(Decomposer, ChainEdgesBetweenGroups) {
   EXPECT_EQ(result.dfg.size(), 3u);
   EXPECT_EQ(result.dfg.chain_edges(), 2u);
   EXPECT_EQ(result.dfg.critical_path_nodes(), 3u);
+
+  // Marking the divide as a second output stores it too, while it still
+  // feeds the last group over its chain edge.
+  ir.mark_output(d);
+  const auto two = Decomposer().decompose(ir);
+  std::size_t stores = 0;
+  for (const auto& n : two.dfg.nodes()) stores += n.mem_out_bytes > 0 ? 1 : 0;
+  EXPECT_EQ(stores, 2u);
+  EXPECT_EQ(two.dfg.chain_edges(), 2u);
 }
 
 TEST(Decomposer, ReductionMapsToSumBlock) {

@@ -6,7 +6,6 @@
 #include "core/arch_config.h"
 #include "core/system.h"
 #include "power/orion_like.h"
-#include "workloads/out_of_domain.h"
 #include "workloads/registry.h"
 
 namespace ara {
@@ -16,16 +15,15 @@ TEST(OutOfDomain, SuiteHasThreeMembers) {
   const auto& names = workloads::out_of_domain_names();
   ASSERT_EQ(names.size(), 3u);
   for (const auto& n : names) {
-    const auto w = workloads::make_out_of_domain(n, 0.1);
+    const auto w = workloads::make_benchmark(n, 0.1);
     EXPECT_EQ(w.name, n);
     EXPECT_TRUE(w.dfg.finalized());
   }
-  EXPECT_THROW(workloads::make_out_of_domain("Nope"), ConfigError);
 }
 
 TEST(OutOfDomain, EveryMemberNeedsFabric) {
   for (const auto& n : workloads::out_of_domain_names()) {
-    const auto w = workloads::make_out_of_domain(n, 0.1);
+    const auto w = workloads::make_benchmark(n, 0.1);
     std::size_t fabric = 0;
     for (const auto& node : w.dfg.nodes()) fabric += node.needs_fabric;
     EXPECT_GT(fabric, 0u) << n;
@@ -38,7 +36,7 @@ TEST(OutOfDomain, ReachableThroughRegistry) {
 }
 
 TEST(OutOfDomain, PureCharmCannotComposeCamelCan) {
-  auto w = workloads::make_out_of_domain("LPCIP", 0.03);
+  auto w = workloads::make_benchmark("LPCIP", 0.03);
   w.concurrency = 4;
 
   // Pure CHARM: no fabric blocks — fabric tasks can never be placed, the

@@ -868,6 +868,20 @@ TEST(Server, PingStatsAndBadWorkload) {
   EXPECT_NE(err.find("\"type\":\"error\""), std::string::npos) << err;
   EXPECT_NE(err.find("\"code\":\"bad_request\""), std::string::npos) << err;
 
+  // "scale":1e12 passes the protocol's scale > 0 check, but its invocation
+  // count does not fit in 32 bits: the handler refuses it instead of
+  // wrapping it into a 2.77-billion-invocation simulation.
+  Request huge;
+  std::string error;
+  ASSERT_TRUE(protocol::parse_request(
+      "{\"type\":\"sweep\",\"workload\":\"Denoise\",\"scale\":1e12}", &huge,
+      &error))
+      << error;
+  const std::string huge_err = server.handle(huge);
+  EXPECT_NE(huge_err.find("\"code\":\"bad_request\""), std::string::npos)
+      << huge_err;
+  EXPECT_NE(huge_err.find("scale"), std::string::npos) << huge_err;
+
   Request stats;
   stats.kind = Request::Kind::kStats;
   const std::string response = server.handle(stats);

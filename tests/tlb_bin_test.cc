@@ -1,4 +1,4 @@
-// Tests for the IR-authored benchmark kernels and BiN/TLB additions.
+// Tests for the per-island DMA TLB and the BiN L2 buffer allocator.
 #include <gtest/gtest.h>
 
 #include "common/config_error.h"
@@ -6,81 +6,10 @@
 #include "core/system.h"
 #include "island/tlb.h"
 #include "mem/bin_allocator.h"
-#include "workloads/ir_kernels.h"
 #include "workloads/registry.h"
 
 namespace ara {
 namespace {
-
-using workloads::ir::make_ir_workload;
-
-TEST(IrKernels, DeblurStructure) {
-  const auto w = make_ir_workload(workloads::ir::deblur_kernel(), 10, 1.0);
-  EXPECT_GT(w.dfg.size(), 3u);
-  EXPECT_GT(w.dfg.chain_edges(), 3u);
-  std::size_t divides = 0, sqrts = 0;
-  for (const auto& n : w.dfg.nodes()) {
-    divides += n.kind == abb::AbbKind::kDivide;
-    sqrts += n.kind == abb::AbbKind::kSqrt;
-  }
-  EXPECT_EQ(divides, 2u);  // dx, dy normalizations
-  EXPECT_EQ(sqrts, 1u);    // TV norm
-}
-
-TEST(IrKernels, SegmentationIsChainHeavy) {
-  const auto w =
-      make_ir_workload(workloads::ir::segmentation_kernel(), 10, 1.0);
-  EXPECT_GT(w.dfg.chaining_degree(), 0.5);
-  EXPECT_GE(w.dfg.critical_path_nodes(), 4u);
-}
-
-TEST(IrKernels, RegistrationUsesPowerBlocks) {
-  const auto w =
-      make_ir_workload(workloads::ir::registration_kernel(), 10, 1.0);
-  std::size_t power = 0;
-  for (const auto& n : w.dfg.nodes()) {
-    power += n.kind == abb::AbbKind::kPower;
-  }
-  EXPECT_EQ(power, 2u);  // exp + log
-}
-
-TEST(IrKernels, EkfHasTwoOutputs) {
-  const auto w = make_ir_workload(workloads::ir::ekf_slam_kernel(), 10, 1.0);
-  std::size_t stores = 0;
-  for (const auto& n : w.dfg.nodes()) {
-    stores += n.mem_out_bytes > 0 ? 1 : 0;
-  }
-  EXPECT_GE(stores, 2u);  // state + covariance updates
-}
-
-TEST(IrKernels, DisparityUsesSumReduction) {
-  const auto w = make_ir_workload(workloads::ir::disparity_kernel(), 10, 1.0);
-  bool has_sum = false;
-  for (const auto& n : w.dfg.nodes()) {
-    has_sum |= n.kind == abb::AbbKind::kSum;
-  }
-  EXPECT_TRUE(has_sum);
-}
-
-TEST(IrKernels, AllSevenCompileAndRun) {
-  const dataflow::KernelIr kernels[] = {
-      workloads::ir::deblur_kernel(256),
-      workloads::ir::denoise_kernel(256),
-      workloads::ir::segmentation_kernel(256),
-      workloads::ir::registration_kernel(256),
-      workloads::ir::robot_localization_kernel(256),
-      workloads::ir::ekf_slam_kernel(256),
-      workloads::ir::disparity_kernel(256),
-  };
-  for (const auto& k : kernels) {
-    auto w = make_ir_workload(k, 5, 1.0);
-    w.concurrency = 4;
-    core::System sys(core::ArchConfig::ring_design(6, 2, 32));
-    const auto r = sys.run(w);
-    EXPECT_EQ(r.jobs, 5u) << k.name();
-    EXPECT_EQ(r.chains_spilled, 0u) << k.name();
-  }
-}
 
 // ---- TLB ----
 

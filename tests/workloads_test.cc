@@ -1,11 +1,14 @@
 // Tests for the workload generators and registry.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/config_error.h"
 #include "cmp/cmp_model.h"
-#include "workloads/calibration.h"
-#include "workloads/medical.h"
-#include "workloads/navigation.h"
+#include "core/arch_config.h"
+#include "core/config_digest.h"
+#include "core/system.h"
 #include "workloads/registry.h"
 
 namespace ara::workloads {
@@ -114,7 +117,8 @@ TEST(Registry, SevenPaperBenchmarks) {
 }
 
 TEST(Registry, AllBenchmarksConstruct) {
-  for (const auto& w : all_benchmarks(0.1)) {
+  for (const auto& name : benchmark_names()) {
+    const Workload w = make_benchmark(name, 0.1);
     EXPECT_FALSE(w.name.empty());
     EXPECT_TRUE(w.dfg.finalized());
     EXPECT_GT(w.dfg.size(), 0u);
@@ -127,11 +131,52 @@ TEST(Registry, UnknownNameThrows) {
   EXPECT_THROW(make_benchmark("Nonesuch"), ConfigError);
 }
 
+TEST(Registry, WorkloadTextMatchesPinnedDigests) {
+  // Every registered workload, byte for byte: a change to any generator
+  // knob, software cost or invocation count changes its digest.
+  struct Pin {
+    const char* name;
+    std::uint64_t full;       // scale 1.0
+    std::uint64_t twentieth;  // scale 0.05
+  };
+  const Pin pins[] = {
+      {"Deblur", 0xb96fe8f5ee470537ull, 0x5806a1c95e9f8d18ull},
+      {"Denoise", 0x4c87621521520f7eull, 0x7fe3dafd08d1458bull},
+      {"Segmentation", 0x8c28e6a3ee213e9bull, 0xb839a71d9f3e72f7ull},
+      {"Registration", 0xb8cf46f5bcaa0278ull, 0xc1bd910a55998555ull},
+      {"RobotLocalization", 0x659e6a0fd5e46ff7ull, 0xf21f870ab893eb44ull},
+      {"EKF-SLAM", 0x16ed285dc8b35eb5ull, 0x3e0f2b42c32b0a76ull},
+      {"DisparityMap", 0x8825e1610f6debefull, 0x92273b6b5222c546ull},
+      {"LPCIP", 0xcfc1d2b79b2cf967ull, 0x4ca1082b2ce2e22aull},
+      {"TextureSynthesis", 0x51cd2b9c66443d39ull, 0x3f49baf3c8209bb9ull},
+      {"BlackScholes", 0xaa4174aeae564047ull, 0xeb5f365f68c0d65eull},
+      {"DenoiseIR", 0x52b068c5ef2c72d8ull, 0x95b70b944b72f74aull},
+  };
+  const auto digest = [](const char* name, double scale) {
+    return core::fnv1a64(core::canonical_text(make_benchmark(name, scale)));
+  };
+  for (const Pin& p : pins) {
+    EXPECT_EQ(digest(p.name, 1.0), p.full) << p.name;
+    EXPECT_EQ(digest(p.name, 0.05), p.twentieth) << p.name;
+  }
+}
+
 TEST(Registry, ScaleAdjustsInvocations) {
   const auto full = make_benchmark("Denoise", 1.0);
   const auto half = make_benchmark("Denoise", 0.5);
   EXPECT_NEAR(static_cast<double>(half.invocations),
               full.invocations / 2.0, 1.0);
+}
+
+TEST(Registry, RejectsBadScale) {
+  // A scale that is not finite and > 0, or whose invocation count does not
+  // fit in 32 bits, must not wrap into some other run length.
+  for (const double bad : {-1.0, 0.0, std::numeric_limits<double>::infinity(),
+                           std::nan(""), 1e12}) {
+    EXPECT_THROW(make_benchmark("Denoise", bad), ConfigError) << bad;
+  }
+  // A tiny positive scale still runs one invocation.
+  EXPECT_EQ(make_benchmark("Denoise", 1e-9).invocations, 1u);
 }
 
 TEST(Registry, ChainingOrderingMatchesPaperNarrative) {
@@ -157,6 +202,14 @@ TEST(Registry, DenoiseIrGoesThroughCompiler) {
   }
   EXPECT_TRUE(has_sqrt);
   EXPECT_TRUE(has_div);
+
+  // The Decomposer-built DFG runs to completion on a chip.
+  const auto small = make_benchmark("DenoiseIR", 0.05);
+  ASSERT_EQ(small.invocations, 11u);
+  core::System sys(core::ArchConfig::ring_design(6, 2, 32));
+  const auto r = sys.run(small);
+  EXPECT_EQ(r.jobs, 11u);
+  EXPECT_EQ(r.chains_spilled, 0u);
 }
 
 TEST(SoftwareCost, ScalesWithMultiplier) {
@@ -190,13 +243,6 @@ TEST(CmpModel, ConfigsMatchPaperMachines) {
   const auto c4 = cmp::CmpConfig::xeon_e5405();
   EXPECT_EQ(c4.cores, 4u);
   EXPECT_DOUBLE_EQ(c4.freq_ghz, 2.0);
-}
-
-TEST(Workload, InputOutputByteHelpers) {
-  const auto w = make_benchmark("Denoise", 1.0);
-  EXPECT_EQ(workload_input_bytes(w), w.dfg.total_mem_in());
-  EXPECT_EQ(workload_output_bytes(w), w.dfg.total_mem_out());
-  EXPECT_GT(workload_input_bytes(w), 0u);
 }
 
 }  // namespace

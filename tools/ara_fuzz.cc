@@ -25,6 +25,7 @@
 
 #include "check/check.h"
 #include "check/fuzz.h"
+#include "common/cli_options.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 
@@ -129,13 +130,6 @@ struct Options {
   bool verbose = false;
 };
 
-bool parse_u64(const char* s, std::uint64_t* out) {
-  if (s == nullptr || *s == '\0' || *s < '0' || *s > '9') return false;
-  char* end = nullptr;
-  *out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
 int usage(int code) {
   std::cout
       << "usage: ara_fuzz [options]\n"
@@ -160,9 +154,17 @@ int main(int argc, char** argv) {
     if (arg == "--verbose") {
       opt.verbose = true;
     } else if (arg == "--seeds") {
-      if (!parse_u64(value(), &opt.seeds)) return usage(2);
+      const char* v = value();
+      if (v == nullptr ||
+          !ara::common::parse_unsigned(v, UINT64_MAX, &opt.seeds)) {
+        return usage(2);
+      }
     } else if (arg == "--seed-base") {
-      if (!parse_u64(value(), &opt.seed_base)) return usage(2);
+      const char* v = value();
+      if (v == nullptr ||
+          !ara::common::parse_unsigned(v, UINT64_MAX, &opt.seed_base)) {
+        return usage(2);
+      }
     } else if (arg == "--repro-dir") {
       const char* v = value();
       if (v == nullptr) return usage(2);

@@ -16,7 +16,8 @@
 #include <csignal>
 
 #include <atomic>
-#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -30,19 +31,6 @@ namespace {
 std::atomic<int> g_signal{0};
 
 void on_signal(int sig) { g_signal.store(sig, std::memory_order_release); }
-
-/// Digits-only count parser (cli_options.cc's parse_jobs_value rule):
-/// std::stoul would abort the daemon on "--handlers two" and silently
-/// wrap "-1" to a huge value.
-bool parse_count(const std::string& text, unsigned long* out) {
-  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(text.c_str(), &end, 10);
-  if (errno == ERANGE || *end != '\0') return false;
-  *out = v;
-  return true;
-}
 
 void usage() {
   std::cout <<
@@ -94,12 +82,12 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    auto count = [&]() -> unsigned long {
+    auto count = [&](std::uint64_t max) -> std::uint64_t {
       const std::string value = next();
-      unsigned long v = 0;
-      if (!parse_count(value, &v)) {
-        std::cerr << arg << ": expected a non-negative integer, got '"
-                  << value << "'\n";
+      std::uint64_t v = 0;
+      if (!common::parse_unsigned(value, max, &v)) {
+        std::cerr << arg << ": expected an integer from 0 to " << max
+                  << ", got '" << value << "'\n";
         exit(2);
       }
       return v;
@@ -110,15 +98,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--socket") {
       opts.socket_path = next();
     } else if (arg == "--handlers") {
-      opts.handlers = static_cast<unsigned>(count());
+      opts.handlers = static_cast<unsigned>(count(UINT_MAX));
     } else if (arg == "--queue") {
-      opts.queue_capacity = count();
+      opts.queue_capacity = count(SIZE_MAX);
     } else if (arg == "--sessions") {
-      opts.max_sessions = count();
+      opts.max_sessions = count(SIZE_MAX);
     } else if (arg == "--log-max-bytes") {
-      opts.log_max_bytes = count();
+      opts.log_max_bytes = count(UINT64_MAX);
     } else if (arg == "--slow-ms") {
-      opts.slow_ms = count();
+      opts.slow_ms = count(UINT64_MAX);
     } else {
       std::cerr << "unknown option '" << arg << "' (see --help)\n";
       return 2;

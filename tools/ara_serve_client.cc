@@ -31,6 +31,7 @@
 // failure, 2 usage error.
 #include <cinttypes>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -41,21 +42,11 @@
 
 #include <unistd.h>
 
+#include "common/cli_options.h"
 #include "obs/json_io.h"
 #include "serve/protocol.h"
 
 namespace {
-
-/// Digits-only count parser (same rule as ara_serve's flag parsing):
-/// std::stoul would abort on "--count two" and wrap "-1" to a huge value.
-bool parse_count(const std::string& text, unsigned long long* out) {
-  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = v;
-  return true;
-}
 
 void usage() {
   std::cout <<
@@ -207,10 +198,10 @@ int main(int argc, char** argv) {
       scale_text = next();
     } else if (arg == "--budget" || arg == "--seed") {
       const std::string value = next();
-      unsigned long long v = 0;
-      if (!parse_count(value, &v)) {
-        std::cerr << arg << ": expected a non-negative integer, got '"
-                  << value << "'\n";
+      std::uint64_t v = 0;
+      if (!ara::common::parse_unsigned(value, UINT64_MAX, &v)) {
+        std::cerr << arg << ": expected an integer from 0 to " << UINT64_MAX
+                  << ", got '" << value << "'\n";
         return 2;
       }
       (arg == "--budget" ? budget : seed) = v;
@@ -218,10 +209,11 @@ int main(int argc, char** argv) {
       watch_mode = true;
     } else if (arg == "--interval-ms" || arg == "--count") {
       const std::string value = next();
-      unsigned long long v = 0;
-      if (!parse_count(value, &v)) {
-        std::cerr << arg << ": expected a non-negative integer, got '"
-                  << value << "'\n";
+      const std::uint64_t max = arg == "--interval-ms" ? UINT_MAX : UINT64_MAX;
+      std::uint64_t v = 0;
+      if (!ara::common::parse_unsigned(value, max, &v)) {
+        std::cerr << arg << ": expected an integer from 0 to " << max
+                  << ", got '" << value << "'\n";
         return 2;
       }
       if (arg == "--interval-ms") {
