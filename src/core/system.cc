@@ -12,10 +12,12 @@ System::~System() = default;
 
 System::System(const ArchConfig& config) : config_(config) {
   config_.validate();
-  mesh_ = std::make_unique<noc::Mesh>(config_.mesh);
+  // Every link's floor is sim_.now(); sim_ is declared before the
+  // components, so it outlives every link.
+  mesh_ = std::make_unique<noc::Mesh>(config_.mesh, &sim_);
   place_components();
   memory_ = std::make_unique<mem::MemorySystem>(*mesh_, config_.mem, l2_nodes_,
-                                                mc_nodes_);
+                                                mc_nodes_, &sim_);
   build_islands();
 
   abc::AbcConfig ac;
@@ -151,7 +153,7 @@ void System::build_islands() {
   for (IslandId i = 0; i < n; ++i) {
     islands_.push_back(std::make_unique<island::Island>(
         i, *mesh_, island_nodes_[i], *memory_, config_.island,
-        island_abbs_[i]));
+        island_abbs_[i], &sim_));
     island_ptrs_.push_back(islands_.back().get());
   }
 }

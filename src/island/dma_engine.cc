@@ -10,8 +10,9 @@
 namespace ara::island {
 
 DmaEngine::DmaEngine(std::string name, double bytes_per_cycle,
-                     Bytes chunk_bytes)
-    : engine_(std::move(name), bytes_per_cycle, /*pipeline_latency=*/4),
+                     Bytes chunk_bytes, const sim::Simulator* clock)
+    : engine_(std::move(name), bytes_per_cycle, /*pipeline_latency=*/4,
+              clock),
       chunk_(chunk_bytes) {
   config_check(chunk_bytes >= kBlockBytes,
                "DMA chunk must be at least one block");

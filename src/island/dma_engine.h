@@ -15,7 +15,9 @@ namespace ara::island {
 
 class DmaEngine {
  public:
-  DmaEngine(std::string name, double bytes_per_cycle, Bytes chunk_bytes);
+  /// `clock`, when given, sets the engine's floor (see SharedLink).
+  DmaEngine(std::string name, double bytes_per_cycle, Bytes chunk_bytes,
+            const sim::Simulator* clock = nullptr);
 
   /// Occupy the engine for `bytes` starting at `ready_at`; returns done tick.
   Tick process(Tick ready_at, Bytes bytes) {

@@ -17,14 +17,15 @@ Bytes effective_spm_bytes(Bytes base, bool sharing) {
 
 Island::Island(IslandId id, noc::Mesh& mesh, NodeId node,
                mem::MemorySystem& mem, const IslandConfig& config,
-               const std::vector<abb::AbbKind>& abbs)
+               const std::vector<abb::AbbKind>& abbs,
+               const sim::Simulator* clock)
     : id_(id),
       mesh_(mesh),
       node_(node),
       mem_(mem),
       config_(config),
       dma_("isl" + std::to_string(id) + ".dma", config.dma_bytes_per_cycle,
-           config.dma_chunk_bytes),
+           config.dma_chunk_bytes, clock),
       tlb_("isl" + std::to_string(id) + ".tlb", config.tlb) {
   config_check(!abbs.empty() || config.fabric_blocks > 0,
                "island needs at least one compute block");
@@ -55,7 +56,7 @@ Island::Island(IslandId id, noc::Mesh& mesh, NodeId node,
     add_block(abb::AbbKind::kPoly, /*fabric=*/true);
   }
 
-  net_ = make_spm_dma_net(prefix + ".net", config.net, num_abbs());
+  net_ = make_spm_dma_net(prefix + ".net", config.net, num_abbs(), clock);
 }
 
 Tick Island::dma_load(Tick ready_at, Addr addr, Bytes bytes, AbbId dst) {

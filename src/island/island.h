@@ -33,9 +33,11 @@ class Island {
  public:
   /// `abbs` lists the ASIC ABB kinds instantiated on this island, in slot
   /// order; `config.fabric_blocks` additional programmable-fabric slots are
-  /// appended after them.
+  /// appended after them. `clock`, when given, sets the floor of the DMA
+  /// engine and of every SPM<->DMA network link (see SharedLink).
   Island(IslandId id, noc::Mesh& mesh, NodeId node, mem::MemorySystem& mem,
-         const IslandConfig& config, const std::vector<abb::AbbKind>& abbs);
+         const IslandConfig& config, const std::vector<abb::AbbKind>& abbs,
+         const sim::Simulator* clock = nullptr);
 
   IslandId id() const { return id_; }
   NodeId node() const { return node_; }

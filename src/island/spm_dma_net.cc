@@ -24,17 +24,19 @@ const char* topology_name(SpmDmaTopology t) {
 
 std::unique_ptr<SpmDmaNet> make_spm_dma_net(const std::string& name,
                                             const SpmDmaNetConfig& config,
-                                            std::uint32_t num_abbs) {
+                                            std::uint32_t num_abbs,
+                                            const sim::Simulator* clock) {
   config_check(num_abbs > 0, "island needs at least one ABB");
   config_check(config.link_bytes > 0, "SPM<->DMA link width must be positive");
   switch (config.topology) {
     case SpmDmaTopology::kProxyXbar:
-      return std::make_unique<ProxyXbarNet>(name, config, num_abbs);
+      return std::make_unique<ProxyXbarNet>(name, config, num_abbs, clock);
     case SpmDmaTopology::kChainingXbar:
-      return std::make_unique<ChainingXbarNet>(name, config, num_abbs);
+      return std::make_unique<ChainingXbarNet>(name, config, num_abbs,
+                                               clock);
     case SpmDmaTopology::kRing:
       config_check(config.num_rings > 0, "ring network needs >= 1 ring");
-      return std::make_unique<RingNet>(name, config, num_abbs);
+      return std::make_unique<RingNet>(name, config, num_abbs, clock);
   }
   throw ConfigError("unknown SPM<->DMA topology");
 }
@@ -52,15 +54,15 @@ Tick xbar_latency(Tick base, std::uint32_t ports) {
 
 ProxyXbarNet::ProxyXbarNet(const std::string& name,
                            const SpmDmaNetConfig& config,
-                           std::uint32_t num_abbs)
+                           std::uint32_t num_abbs, const sim::Simulator* clock)
     : SpmDmaNet(num_abbs),
       config_(config),
-      hub_(name + ".hub", static_cast<double>(config.link_bytes), 0),
+      hub_(name + ".hub", static_cast<double>(config.link_bytes), 0, clock),
       traversal_latency_(xbar_latency(config.xbar_base_latency, num_abbs + 1)) {
   spm_ports_.reserve(num_abbs);
   for (std::uint32_t i = 0; i < num_abbs; ++i) {
     spm_ports_.emplace_back(name + ".p" + std::to_string(i),
-                            static_cast<double>(config.link_bytes), 0);
+                            static_cast<double>(config.link_bytes), 0, clock);
   }
 }
 
@@ -106,14 +108,15 @@ Bytes ProxyXbarNet::total_bytes() const {
 
 ChainingXbarNet::ChainingXbarNet(const std::string& name,
                                  const SpmDmaNetConfig& config,
-                                 std::uint32_t num_abbs)
+                                 std::uint32_t num_abbs,
+                                 const sim::Simulator* clock)
     : SpmDmaNet(num_abbs),
       config_(config),
       traversal_latency_(xbar_latency(config.xbar_base_latency, num_abbs + 1)) {
   ports_.reserve(num_abbs + 1);
   for (std::uint32_t i = 0; i <= num_abbs; ++i) {
     ports_.emplace_back(name + ".p" + std::to_string(i),
-                        static_cast<double>(config.link_bytes), 0);
+                        static_cast<double>(config.link_bytes), 0, clock);
   }
 }
 
@@ -156,7 +159,7 @@ Bytes ChainingXbarNet::total_bytes() const {
 // ----------------------------------------------------------------- ring
 
 RingNet::RingNet(const std::string& name, const SpmDmaNetConfig& config,
-                 std::uint32_t num_abbs)
+                 std::uint32_t num_abbs, const sim::Simulator* clock)
     : SpmDmaNet(num_abbs), config_(config) {
   const std::uint32_t S = stops();
   links_.reserve(config.num_rings);
@@ -166,7 +169,8 @@ RingNet::RingNet(const std::string& name, const SpmDmaNetConfig& config,
     for (std::uint32_t s = 0; s < S; ++s) {
       ring.emplace_back(
           name + ".r" + std::to_string(r) + ".l" + std::to_string(s),
-          static_cast<double>(config.link_bytes), config.ring_hop_latency);
+          static_cast<double>(config.link_bytes), config.ring_hop_latency,
+          clock);
     }
     links_.push_back(std::move(ring));
   }

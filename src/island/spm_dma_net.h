@@ -50,17 +50,18 @@ class SpmDmaNet {
   std::uint32_t num_abbs_;
 };
 
-/// Factory from config. `name` prefixes stat identifiers.
-std::unique_ptr<SpmDmaNet> make_spm_dma_net(const std::string& name,
-                                            const SpmDmaNetConfig& config,
-                                            std::uint32_t num_abbs);
+/// Factory from config. `name` prefixes stat identifiers. `clock`, when
+/// given, sets every link's floor (see SharedLink).
+std::unique_ptr<SpmDmaNet> make_spm_dma_net(
+    const std::string& name, const SpmDmaNetConfig& config,
+    std::uint32_t num_abbs, const sim::Simulator* clock = nullptr);
 
 /// --- concrete implementations (exposed for unit tests) ---
 
 class ProxyXbarNet final : public SpmDmaNet {
  public:
   ProxyXbarNet(const std::string& name, const SpmDmaNetConfig& config,
-               std::uint32_t num_abbs);
+               std::uint32_t num_abbs, const sim::Simulator* clock = nullptr);
 
   Tick to_spm(Tick ready_at, AbbId dst, Bytes bytes) override;
   Tick from_spm(Tick ready_at, AbbId src, Bytes bytes) override;
@@ -90,7 +91,8 @@ class ProxyXbarNet final : public SpmDmaNet {
 class ChainingXbarNet final : public SpmDmaNet {
  public:
   ChainingXbarNet(const std::string& name, const SpmDmaNetConfig& config,
-                  std::uint32_t num_abbs);
+                  std::uint32_t num_abbs,
+                  const sim::Simulator* clock = nullptr);
 
   Tick to_spm(Tick ready_at, AbbId dst, Bytes bytes) override;
   Tick from_spm(Tick ready_at, AbbId src, Bytes bytes) override;
@@ -114,7 +116,7 @@ class ChainingXbarNet final : public SpmDmaNet {
 class RingNet final : public SpmDmaNet {
  public:
   RingNet(const std::string& name, const SpmDmaNetConfig& config,
-          std::uint32_t num_abbs);
+          std::uint32_t num_abbs, const sim::Simulator* clock = nullptr);
 
   Tick to_spm(Tick ready_at, AbbId dst, Bytes bytes) override;
   Tick from_spm(Tick ready_at, AbbId src, Bytes bytes) override;

@@ -6,10 +6,12 @@
 
 namespace ara::mem {
 
-L2Bank::L2Bank(std::string name, const L2BankConfig& config)
+L2Bank::L2Bank(std::string name, const L2BankConfig& config,
+               const sim::Simulator* clock)
     : config_(config),
       num_sets_(0),
-      port_(std::move(name), config.port_bytes_per_cycle, config.hit_latency) {
+      port_(std::move(name), config.port_bytes_per_cycle, config.hit_latency,
+            clock) {
   config_check(config.block_bytes > 0, "L2 block size must be positive");
   config_check(config.associativity > 0, "L2 associativity must be positive");
   const Bytes blocks = config.capacity / config.block_bytes;

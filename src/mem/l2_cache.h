@@ -23,7 +23,9 @@ struct L2BankConfig {
 
 class L2Bank {
  public:
-  L2Bank(std::string name, const L2BankConfig& config);
+  /// `clock`, when given, sets the port's floor (see SharedLink).
+  L2Bank(std::string name, const L2BankConfig& config,
+         const sim::Simulator* clock = nullptr);
 
   /// Tag lookup + port occupancy for one block. Returns {completion tick of
   /// the bank's part, hit?}. On a miss the caller forwards to a memory

@@ -5,9 +5,10 @@
 namespace ara::mem {
 
 MemoryController::MemoryController(std::string name,
-                                   const MemoryControllerConfig& config)
+                                   const MemoryControllerConfig& config,
+                                   const sim::Simulator* clock)
     : channel_(std::move(name), config.bandwidth_bytes_per_cycle,
-               config.avg_latency) {}
+               config.avg_latency, clock) {}
 
 Tick MemoryController::access(Tick ready_at, Bytes bytes) {
   return channel_.submit(ready_at, bytes);

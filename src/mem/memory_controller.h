@@ -17,7 +17,9 @@ struct MemoryControllerConfig {
 
 class MemoryController {
  public:
-  MemoryController(std::string name, const MemoryControllerConfig& config);
+  /// `clock`, when given, sets the channel's floor (see SharedLink).
+  MemoryController(std::string name, const MemoryControllerConfig& config,
+                   const sim::Simulator* clock = nullptr);
 
   /// Serve `bytes` of DRAM traffic; returns the completion tick.
   Tick access(Tick ready_at, Bytes bytes);

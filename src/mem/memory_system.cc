@@ -8,7 +8,8 @@ namespace ara::mem {
 
 MemorySystem::MemorySystem(noc::Mesh& mesh, const MemorySystemConfig& config,
                            std::vector<NodeId> l2_nodes,
-                           std::vector<NodeId> mc_nodes)
+                           std::vector<NodeId> mc_nodes,
+                           const sim::Simulator* clock)
     : mesh_(mesh),
       config_(config),
       l2_nodes_(std::move(l2_nodes)),
@@ -23,12 +24,12 @@ MemorySystem::MemorySystem(noc::Mesh& mesh, const MemorySystemConfig& config,
   config_check(mc_nodes_.size() == config.num_memory_controllers,
                "MC node placement size mismatch");
   for (std::uint32_t i = 0; i < config.num_l2_banks; ++i) {
-    l2_banks_.push_back(
-        std::make_unique<L2Bank>("mem.l2b" + std::to_string(i), config.l2));
+    l2_banks_.push_back(std::make_unique<L2Bank>(
+        "mem.l2b" + std::to_string(i), config.l2, clock));
   }
   for (std::uint32_t i = 0; i < config.num_memory_controllers; ++i) {
     mcs_.push_back(std::make_unique<MemoryController>(
-        "mem.mc" + std::to_string(i), config.mc));
+        "mem.mc" + std::to_string(i), config.mc, clock));
   }
   std::vector<Bytes> capacities(l2_banks_.size(), config.l2.capacity);
   bin_ = std::make_unique<BinAllocator>(config.bin, std::move(capacities));

@@ -45,9 +45,11 @@ struct MemorySystemConfig {
 class MemorySystem {
  public:
   /// `l2_nodes` / `mc_nodes` give each bank/controller's mesh position;
-  /// their sizes must match the config counts.
+  /// their sizes must match the config counts. `clock`, when given, sets
+  /// every bank port's and controller channel's floor (see SharedLink).
   MemorySystem(noc::Mesh& mesh, const MemorySystemConfig& config,
-               std::vector<NodeId> l2_nodes, std::vector<NodeId> mc_nodes);
+               std::vector<NodeId> l2_nodes, std::vector<NodeId> mc_nodes,
+               const sim::Simulator* clock = nullptr);
 
   /// Allocate a buffer in the simulated physical address space.
   Addr allocate(Bytes size);

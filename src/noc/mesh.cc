@@ -7,7 +7,8 @@
 
 namespace ara::noc {
 
-Mesh::Mesh(const MeshConfig& config) : config_(config) {
+Mesh::Mesh(const MeshConfig& config, const sim::Simulator* clock)
+    : config_(config) {
   config_check(config.width > 0 && config.height > 0,
                "mesh dimensions must be positive");
   config_check(config.chunk_bytes > 0, "mesh chunk size must be positive");
@@ -17,7 +18,7 @@ Mesh::Mesh(const MeshConfig& config) : config_(config) {
     for (std::uint32_t x = 0; x < config.width; ++x) {
       routers_.emplace_back(node_at(x, y), x, y, config.link_bytes_per_cycle,
                             config.local_port_bytes_per_cycle,
-                            config.router_latency);
+                            config.router_latency, clock);
     }
   }
 }

@@ -24,7 +24,9 @@ namespace ara::noc {
 
 class Mesh {
  public:
-  explicit Mesh(const MeshConfig& config);
+  /// `clock`, when given, sets every router port's floor (see SharedLink).
+  explicit Mesh(const MeshConfig& config,
+                const sim::Simulator* clock = nullptr);
 
   const MeshConfig& config() const { return config_; }
   std::uint32_t width() const { return config_.width; }

@@ -18,9 +18,10 @@ inline constexpr std::size_t kNumPorts = 5;
 
 class Router {
  public:
+  /// `clock`, when given, sets every port's floor (see SharedLink).
   Router(NodeId id, std::uint32_t x, std::uint32_t y,
          double link_bytes_per_cycle, double local_bytes_per_cycle,
-         Tick router_latency);
+         Tick router_latency, const sim::Simulator* clock = nullptr);
 
   NodeId id() const { return id_; }
   std::uint32_t x() const { return x_; }

@@ -2,32 +2,39 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <utility>
 
 #include "common/config_error.h"
+#include "sim/event_queue.h"
 
 namespace ara::sim {
 
 namespace {
-/// Reservations older than this relative to the highest start tick seen are
-/// merged into one blocker interval; simulator chains never reach that far
-/// back, so gap filling is unaffected in practice.
-constexpr Tick kCompactHorizon = 1u << 21;  // ~2M cycles
-constexpr std::size_t kCompactThreshold = 4096;
+/// retire() runs when an insert brings the interval count to
+/// kRetireGrowth times the count the last retirement kept, and never below
+/// kMinRetireCount: one binary search each time the list doubles.
+constexpr std::size_t kMinRetireCount = 64;
+constexpr std::size_t kRetireGrowth = 2;
 }  // namespace
 
 SharedLink::SharedLink(std::string name, double bytes_per_cycle,
-                       Tick pipeline_latency)
+                       Tick pipeline_latency, const Simulator* clock)
     : name_(std::move(name)),
       bytes_per_cycle_(bytes_per_cycle),
-      latency_(pipeline_latency) {
+      latency_(pipeline_latency),
+      clock_(clock),
+      retire_at_(kMinRetireCount) {
   config_check(bytes_per_cycle > 0.0,
                "SharedLink '" + name_ + "' needs positive bandwidth");
 }
 
 Tick SharedLink::submit(Tick ready_at, Bytes bytes) {
   if (bytes == 0) return ready_at + latency_;
+  if (clock_ != nullptr && ready_at < clock_->now()) {
+    throw ScheduleError("SharedLink '" + name_ + "': reservation ready at " +
+                        std::to_string(ready_at) + " is below the floor " +
+                        std::to_string(clock_->now()));
+  }
   auto occupancy = static_cast<Tick>(
       std::ceil(static_cast<double>(bytes) / bytes_per_cycle_));
   if (occupancy == 0) occupancy = 1;
@@ -63,15 +70,12 @@ Tick SharedLink::submit(Tick ready_at, Bytes bytes) {
     busy_.insert(busy_.begin() + static_cast<std::ptrdiff_t>(i),
                  Interval{start, end});
     finger_ = i;
+    if (busy_.size() >= retire_at_) retire();
   }
 
   busy_cycles_ += occupancy;
   total_bytes_ += bytes;
   ++transfers_;
-  if (start > high_watermark_) high_watermark_ = start;
-  if (busy_.size() > kCompactThreshold && high_watermark_ >= kCompactHorizon) {
-    compact();
-  }
   return end + latency_;
 }
 
@@ -112,21 +116,20 @@ std::size_t SharedLink::first_after(Tick t) const {
   return static_cast<std::size_t>(base - iv);
 }
 
-void SharedLink::compact() {
-  const Tick cutoff = high_watermark_ - kCompactHorizon;
-  // Replace everything ending at or before `cutoff` (a prefix: the ends are
-  // sorted too) with one blocker interval.
-  const auto old_end =
-      std::partition_point(busy_.begin(), busy_.end(), [&](const Interval& iv) {
-        return iv.end <= cutoff;
-      });
-  if (old_end == busy_.begin()) return;
-  const Tick blocker_end =
-      old_end == busy_.end() ? cutoff : std::min(cutoff, old_end->start);
-  busy_.front().end = blocker_end;
-  const auto merged = static_cast<std::size_t>(old_end - busy_.begin()) - 1;
-  finger_ = finger_ > merged ? finger_ - merged : 0;
-  busy_.erase(std::next(busy_.begin()), old_end);
+void SharedLink::retire() {
+  // Every later payload is ready at or after the floor, where an interval
+  // ending by then neither delays it nor stands in its way. The ends are
+  // sorted like the starts, so those intervals are a prefix.
+  const Tick floor = clock_ == nullptr ? 0 : clock_->now();
+  const auto live =
+      std::partition_point(busy_.begin(), busy_.end(),
+                           [&](const Interval& iv) { return iv.end <= floor; });
+  const auto dropped = static_cast<std::size_t>(live - busy_.begin());
+  busy_.erase(busy_.begin(), live);
+  // The finger is the interval just inserted, which starts at or after the
+  // floor and so was not dropped.
+  finger_ -= dropped;
+  retire_at_ = std::max(kMinRetireCount, kRetireGrowth * busy_.size());
 }
 
 }  // namespace ara::sim

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <tuple>
@@ -122,9 +123,8 @@ class CycleOccupancyModel {
 // Random payload streams through chains of links, checked submit by submit
 // against the per-cycle model. Streams mix fractional bandwidths, non-zero
 // latencies, zero-byte payloads, reservations far in the future and later
-// reservations ready before earlier ones. Ticks stay far below the 2^21
-// compaction horizon and each link takes fewer than 4096 payloads, so
-// compaction never runs and the model is exact.
+// reservations ready before earlier ones. The links have no floor, so none
+// drops an interval and each interval is one run of busy cycles.
 TEST_P(SharedLinkProperty, MatchesCycleOccupancyModel) {
   sim::Rng rng(GetParam());
   constexpr double kBandwidths[] = {0.75, 1.0, 2.5, 8.0, 10.0, 16.0, 32.0};
@@ -177,9 +177,9 @@ TEST_P(SharedLinkProperty, MatchesCycleOccupancyModel) {
 }
 
 // Reference SharedLink: the sorted-vector algorithm as first written, over a
-// std::pair vector, with the same 2^21-cycle compaction horizon and
-// 4096-interval threshold. Any faster SharedLink must return the same ticks
-// and hold the same intervals, compaction included.
+// std::pair vector. It never drops an interval, so a SharedLink that
+// retires intervals behind its floor must still return the same ticks and
+// book the same busy cycles.
 class PairVectorLink {
  public:
   PairVectorLink(double bytes_per_cycle, Tick latency)
@@ -217,20 +217,22 @@ class PairVectorLink {
     }
 
     busy_cycles_ += occupancy;
-    if (start > high_watermark_) high_watermark_ = start;
-    if (busy_.size() > kThreshold) compact();
     return end + latency_;
   }
 
   std::size_t intervals() const { return busy_.size(); }
+  /// Number of intervals ending after `floor`: the ones a link with that
+  /// floor must keep.
+  std::size_t live(Tick floor) const {
+    return static_cast<std::size_t>(
+        busy_.end() - std::partition_point(
+                          busy_.begin(), busy_.end(),
+                          [&](const Interval& iv) { return iv.second <= floor; }));
+  }
   Tick busy_cycles() const { return busy_cycles_; }
-  /// Number of compact() calls that merged at least one interval away.
-  std::uint64_t merges() const { return merges_; }
 
  private:
   using Interval = std::pair<Tick, Tick>;
-  static constexpr Tick kHorizon = Tick{1} << 21;
-  static constexpr std::size_t kThreshold = 4096;
 
   std::vector<Interval>::iterator first_after(Tick t) {
     auto hi = busy_.end();
@@ -246,97 +248,84 @@ class PairVectorLink {
     return hi;
   }
 
-  void compact() {
-    if (high_watermark_ < kHorizon) return;
-    const Tick cutoff = high_watermark_ - kHorizon;
-    const auto old_end = std::partition_point(
-        busy_.begin(), busy_.end(),
-        [&](const Interval& iv) { return iv.second <= cutoff; });
-    if (old_end == busy_.begin()) return;
-    const Tick blocker_end =
-        old_end == busy_.end() ? cutoff : std::min(cutoff, old_end->first);
-    busy_.front().second = blocker_end;
-    if (std::next(busy_.begin()) != old_end) ++merges_;
-    busy_.erase(std::next(busy_.begin()), old_end);
-  }
-
   double bytes_per_cycle_;
   Tick latency_;
   std::vector<Interval> busy_;
   Tick busy_cycles_ = 0;
-  Tick high_watermark_ = 0;
-  std::uint64_t merges_ = 0;
 };
 
-// Long random streams that carry two links past the 2^21-cycle compaction
-// horizon while each holds more than 4096 intervals, checked submit by
-// submit against PairVectorLink: the returned tick, the interval count and
-// the busy cycles. The interval count is compared after every submit
-// because a miscounted merge lasts only until the next compaction. The
-// streams mix appends at the tail,
-// inserts far behind the previous insert, far-future reservations (which
-// move the high watermark and so the compaction cutoff ahead of the
-// stream), zero-byte payloads and payload sizes that change from submit to
-// submit.
-TEST_P(SharedLinkProperty, MatchesReferenceThroughCompaction) {
+// Links whose floor is a Simulator's now(), driven by events at increasing
+// ticks and checked submit by submit against PairVectorLink, which never
+// retires: the returned tick and the busy cycles. Each event submits a
+// random batch ready at now, in the near future, further ahead or far
+// ahead, with zero-byte payloads and sizes that change from submit to
+// submit; a one-byte payload at now leaves an interval ending one tick
+// past the floor. The streams pass many retirement thresholds, and a link
+// may never hold more than max(64, 2 x the most intervals the reference
+// held ending after the floor at any submit so far).
+TEST_P(SharedLinkProperty, RetirementMatchesNeverRetiringLink) {
   sim::Rng rng(GetParam());
-  constexpr double kBandwidths[] = {2.5, 10.0, 16.0, 32.0};
-  constexpr Bytes kSizes[] = {16, 64, 64, 64, 0, 7, 100, 200};
+  sim::Simulator sim;
+  constexpr double kBandwidths[] = {7.5, 10.0, 16.0, 32.0};
+  constexpr Bytes kSizes[] = {1, 16, 64, 64, 0, 7, 100, 200};
   constexpr std::uint64_t kLinks = 2;
   std::vector<sim::SharedLink> links;
   std::vector<PairVectorLink> refs;
   for (std::uint64_t l = 0; l < kLinks; ++l) {
     const double bw = kBandwidths[rng.next_below(std::size(kBandwidths))];
     const Tick latency = rng.next_below(4);
-    links.emplace_back("r" + std::to_string(l), bw, latency);
+    links.emplace_back("r" + std::to_string(l), bw, latency, &sim);
     refs.emplace_back(bw, latency);
   }
-  std::size_t most_intervals_past_horizon = 0;
-  Tick now = 0;
+  std::vector<std::size_t> peak_live(kLinks, 0);
+  // Submits after which a link held at least two intervals fewer: only a
+  // retirement shrinks a list by more than one.
+  std::vector<std::uint64_t> retirements(kLinks, 0);
+  int submits = 0;
   constexpr int kSubmits = 14'000;
-  for (int i = 0; i < kSubmits; ++i) {
-    now += rng.next_below(400);
-    Tick ready = now + rng.next_below(4);
-    const auto kind = rng.next_below(2000);
-    if (kind < 1) {
-      ready = now + 20'000 + rng.next_below(300'000);  // far future
-    } else if (kind < 10) {
-      ready = now + 2'000 + rng.next_below(30'000);  // future
-    } else if (kind < 20) {
-      // Into the compacted blocker once the stream is past the horizon.
-      ready = now - std::min<Tick>(now, rng.next_below(3'000'000));
-    } else if (kind < 200) {
-      ready = now - std::min<Tick>(now, rng.next_below(400'000));  // far back
-    } else if (kind < 500) {
-      ready = now - std::min<Tick>(now, rng.next_below(2'000));  // near
-    }
-    const Bytes bytes = kSizes[rng.next_below(std::size(kSizes))];
-    const auto first = rng.next_below(kLinks);
-    Tick got = ready;
-    Tick want = ready;
-    for (auto l = first; l < kLinks; ++l) {
-      got = links[l].submit(got, bytes);
-      want = refs[l].submit(want, bytes);
-      ASSERT_EQ(got, want) << "submit " << i << " on link " << l << ", "
-                           << bytes << " bytes ready at " << ready;
-      ASSERT_EQ(links[l].reservation_intervals(), refs[l].intervals())
-          << "submit " << i << " on link " << l;
-      ASSERT_EQ(links[l].busy_cycles(), refs[l].busy_cycles())
-          << "submit " << i << " on link " << l;
-    }
-    if (now >= (Tick{1} << 21)) {
-      for (const auto& link : links) {
-        most_intervals_past_horizon = std::max(most_intervals_past_horizon,
-                                               link.reservation_intervals());
+  std::function<void()> event = [&] {
+    const Tick now = sim.now();
+    for (auto n = 1 + rng.next_below(8); n > 0; --n, ++submits) {
+      Tick ready = now;
+      const auto kind = rng.next_below(1000);
+      if (kind < 2) {
+        ready = now + 20'000 + rng.next_below(300'000);  // far ahead
+      } else if (kind < 12) {
+        ready = now + 2'000 + rng.next_below(30'000);  // ahead
+      } else if (kind < 600) {
+        ready = now + 1 + rng.next_below(64);  // near future
+      }
+      const Bytes bytes = kSizes[rng.next_below(std::size(kSizes))];
+      const auto first = rng.next_below(kLinks);
+      Tick got = ready;
+      Tick want = ready;
+      for (auto l = first; l < kLinks; ++l) {
+        const std::size_t before = links[l].reservation_intervals();
+        got = links[l].submit(got, bytes);
+        want = refs[l].submit(want, bytes);
+        ASSERT_EQ(got, want) << "submit " << submits << " on link " << l
+                             << ", " << bytes << " bytes ready at " << ready
+                             << ", now " << now;
+        ASSERT_EQ(links[l].busy_cycles(), refs[l].busy_cycles())
+            << "submit " << submits << " on link " << l;
+        const std::size_t held = links[l].reservation_intervals();
+        if (held + 1 < before) ++retirements[l];
+        peak_live[l] = std::max(peak_live[l], refs[l].live(now));
+        ASSERT_LE(held, std::max<std::size_t>(64, 2 * peak_live[l]))
+            << "submit " << submits << " on link " << l << ", now " << now;
       }
     }
+    if (submits < kSubmits) sim.schedule_in(rng.next_below(100), event);
+  };
+  sim.schedule_at(0, event);
+  sim.run();
+  EXPECT_GE(submits, kSubmits);
+  for (std::uint64_t l = 0; l < kLinks; ++l) {
+    EXPECT_GE(retirements[l], 10u) << "link " << l;
+    // The reference kept every interval; the link kept only a window.
+    EXPECT_LT(links[l].reservation_intervals(), refs[l].intervals())
+        << "link " << l;
   }
-  // The stream really reached compaction: past the horizon with more than
-  // 4096 intervals on a link, and intervals were merged away.
-  EXPECT_GT(most_intervals_past_horizon, 4096u);
-  std::uint64_t merges = 0;
-  for (const auto& ref : refs) merges += ref.merges();
-  EXPECT_GT(merges, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedLinkProperty,

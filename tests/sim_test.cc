@@ -316,57 +316,28 @@ TEST(SharedLink, RejectsZeroBandwidth) {
   EXPECT_THROW(SharedLink("bad", 0.0, 1), std::runtime_error);
 }
 
-// Compaction: once a link holds more than 4096 intervals, every interval
-// ending at or before cutoff = high watermark - 2^21 is folded into one
-// blocker [first start, min(cutoff, next start)). Long runs depend on this
-// rule, so it is pinned exactly.
-constexpr Tick kCompactHorizon = Tick{1} << 21;
+// A link with a floor rejects a payload ready below it, the rule
+// Simulator::schedule_at applies to a past tick: retirement may already
+// have dropped the intervals such a payload would queue behind.
+TEST(SharedLink, RejectsReservationBelowFloor) {
+  Simulator s;
+  s.schedule_at(100, [] {});
+  s.run();
+  ASSERT_EQ(s.now(), 100u);
+  SharedLink link("l", 16.0, 2, &s);
+  EXPECT_EQ(link.submit(120, 32), 124u);
+  EXPECT_THROW(link.submit(99, 64), ScheduleError);
+  // The rejected payload booked nothing.
+  EXPECT_EQ(link.transfers(), 1u);
+  EXPECT_EQ(link.busy_cycles(), 2u);
+  EXPECT_EQ(link.total_bytes(), 32u);
+  EXPECT_EQ(link.reservation_intervals(), 1u);
+  EXPECT_EQ(link.submit(100, 64), 106u);  // at the floor: accepted
+  EXPECT_EQ(link.submit(99, 0), 101u);    // zero bytes reserve nothing
 
-TEST(SharedLinkCompaction, FoldsOldIntervalsIntoBlockerEndingAtCutoff) {
-  SharedLink link("l", 1.0, 0);
-  const Tick cutoff = 10'002;
-  link.submit(kCompactHorizon + cutoff, 1);  // sets the high watermark
-  // One-cycle intervals [4i, 4i + 1) with free gaps between them.
-  for (Tick i = 0; i < 4095; ++i) ASSERT_EQ(link.submit(4 * i, 1), 4 * i + 1);
-  EXPECT_EQ(link.reservation_intervals(), 4096u);  // at the threshold
-  link.submit(4 * 4095, 1);  // the 4097th interval triggers compaction
-  // Intervals ending at or before 10002 are i = 0..2500; the next one
-  // starts at 10004, after the cutoff, so the blocker is [0, 10002).
-  EXPECT_EQ(link.reservation_intervals(), 4097u - 2501u + 1u);
-  EXPECT_EQ(link.busy_cycles(), 4097u);  // compaction books no cycles
-
-  // Ready inside the old gap [1, 4), a payload now lands after the blocker,
-  // in the two free cycles [10002, 10004) between it and the next interval.
-  EXPECT_EQ(link.submit(1, 2), cutoff + 2);
-  // The payload merges with the blocker and with the interval after it.
-  EXPECT_EQ(link.reservation_intervals(), 4097u - 2501u);
-  EXPECT_EQ(link.submit(1, 1), 10'005u + 1u);  // next free cycle is 10005
-}
-
-TEST(SharedLinkCompaction, BlockerEndsAtStartOfIntervalStraddlingCutoff) {
-  SharedLink link("l", 1.0, 0);
-  const Tick cutoff = 10'001;
-  link.submit(kCompactHorizon + cutoff, 1);
-  // Two-cycle intervals [4i, 4i + 2); [10000, 10002) straddles the cutoff.
-  for (Tick i = 0; i < 4096; ++i) link.submit(4 * i, 2);
-  // Intervals i = 0..2499 end at or before the cutoff. The blocker stops
-  // where the straddling interval starts, [0, 10000), and stays a separate
-  // interval next to it.
-  EXPECT_EQ(link.reservation_intervals(), 4097u - 2500u + 1u);
-  EXPECT_EQ(link.submit(3, 2), 10'004u);  // lands in [10002, 10004)
-  // It joins [10000, 10002) and [10004, 10006), not the blocker.
-  EXPECT_EQ(link.reservation_intervals(), 4097u - 2500u);
-}
-
-TEST(SharedLinkCompaction, NeverFiresBelowHorizonOrWithNothingOld) {
-  SharedLink below("below", 1.0, 0);
-  for (Tick i = 0; i < 5000; ++i) below.submit(4 * i, 1);
-  EXPECT_EQ(below.reservation_intervals(), 5000u);  // watermark < 2^21
-
-  SharedLink fresh("fresh", 1.0, 0);
-  fresh.submit(kCompactHorizon, 1);  // cutoff 0: no interval ends by then
-  for (Tick i = 0; i < 5000; ++i) fresh.submit(4 * i + 1, 1);
-  EXPECT_EQ(fresh.reservation_intervals(), 5001u);
+  SharedLink standalone("f", 16.0, 2);  // no floor: any tick is fine
+  EXPECT_EQ(standalone.submit(120, 32), 124u);
+  EXPECT_EQ(standalone.submit(0, 64), 6u);
 }
 
 TEST(Stats, CounterAccumulates) {
