@@ -15,28 +15,29 @@ namespace {
 
 constexpr int kExactDigits = 17;
 
-void member(std::ostream& os, bool& first, const char* name) {
-  if (!first) os << ",";
+void member(std::string& out, bool& first, const char* name) {
+  out += first ? "\"" : ",\"";
   first = false;
-  os << "\"" << name << "\":";
+  out += name;
+  out += "\":";
 }
 
-void put(std::ostream& os, bool& first, const char* name, double v) {
-  member(os, first, name);
-  obs::json_number(os, v, kExactDigits);
+void put(std::string& out, bool& first, const char* name, double v) {
+  member(out, first, name);
+  obs::append_number(out, v, kExactDigits);
 }
 
-void put(std::ostream& os, bool& first, const char* name, std::uint64_t v) {
-  member(os, first, name);
-  os << v;
+void put(std::string& out, bool& first, const char* name, std::uint64_t v) {
+  member(out, first, name);
+  obs::append_number(out, v);
 }
 
-void put(std::ostream& os, bool& first, const char* name,
+void put(std::string& out, bool& first, const char* name,
          const std::string& v) {
-  member(os, first, name);
-  os << "\"";
-  obs::json_escape(os, v);
-  os << "\"";
+  member(out, first, name);
+  out += '"';
+  obs::append_escaped(out, v);
+  out += '"';
 }
 
 std::string hex_key(std::uint64_t key) {
@@ -87,76 +88,82 @@ std::string ResultCache::entry_path(std::uint64_t key) const {
 
 std::string ResultCache::to_json(std::uint64_t key, std::uint64_t salt,
                                  const Entry& entry) {
-  std::ostringstream os;
-  os << "{";
+  std::string out;
+  append_json(out, key, salt, entry);
+  out += '\n';
+  return out;
+}
+
+void ResultCache::append_json(std::string& out, std::uint64_t key,
+                              std::uint64_t salt, const Entry& entry) {
+  out += '{';
   bool first = true;
-  put(os, first, "key", hex_key(key));
-  put(os, first, "salt", salt);
+  put(out, first, "key", hex_key(key));
+  put(out, first, "salt", salt);
   const auto& r = entry.result;
-  member(os, first, "result");
+  member(out, first, "result");
   {
-    os << "{";
+    out += '{';
     bool f = true;
-    put(os, f, "workload", r.workload);
-    put(os, f, "config", r.config);
-    put(os, f, "makespan", r.makespan);
-    put(os, f, "jobs", r.jobs);
-    member(os, f, "energy");
+    put(out, f, "workload", r.workload);
+    put(out, f, "config", r.config);
+    put(out, f, "makespan", r.makespan);
+    put(out, f, "jobs", r.jobs);
+    member(out, f, "energy");
     {
-      os << "{";
+      out += '{';
       bool e = true;
-      put(os, e, "abb_j", r.energy.abb_j);
-      put(os, e, "spm_j", r.energy.spm_j);
-      put(os, e, "abb_spm_xbar_j", r.energy.abb_spm_xbar_j);
-      put(os, e, "island_net_j", r.energy.island_net_j);
-      put(os, e, "dma_j", r.energy.dma_j);
-      put(os, e, "noc_j", r.energy.noc_j);
-      put(os, e, "l2_j", r.energy.l2_j);
-      put(os, e, "dram_j", r.energy.dram_j);
-      put(os, e, "mono_j", r.energy.mono_j);
-      put(os, e, "leakage_j", r.energy.leakage_j);
-      put(os, e, "platform_j", r.energy.platform_j);
-      os << "}";
+      put(out, e, "abb_j", r.energy.abb_j);
+      put(out, e, "spm_j", r.energy.spm_j);
+      put(out, e, "abb_spm_xbar_j", r.energy.abb_spm_xbar_j);
+      put(out, e, "island_net_j", r.energy.island_net_j);
+      put(out, e, "dma_j", r.energy.dma_j);
+      put(out, e, "noc_j", r.energy.noc_j);
+      put(out, e, "l2_j", r.energy.l2_j);
+      put(out, e, "dram_j", r.energy.dram_j);
+      put(out, e, "mono_j", r.energy.mono_j);
+      put(out, e, "leakage_j", r.energy.leakage_j);
+      put(out, e, "platform_j", r.energy.platform_j);
+      out += '}';
     }
-    member(os, f, "area");
+    member(out, f, "area");
     {
-      os << "{";
+      out += '{';
       bool a = true;
-      put(os, a, "islands_mm2", r.area.islands_mm2);
-      put(os, a, "noc_mm2", r.area.noc_mm2);
-      put(os, a, "l2_mm2", r.area.l2_mm2);
-      put(os, a, "mc_mm2", r.area.mc_mm2);
-      os << "}";
+      put(out, a, "islands_mm2", r.area.islands_mm2);
+      put(out, a, "noc_mm2", r.area.noc_mm2);
+      put(out, a, "l2_mm2", r.area.l2_mm2);
+      put(out, a, "mc_mm2", r.area.mc_mm2);
+      out += '}';
     }
-    put(os, f, "avg_abb_utilization", r.avg_abb_utilization);
-    put(os, f, "peak_abb_utilization", r.peak_abb_utilization);
-    put(os, f, "l2_hit_rate", r.l2_hit_rate);
-    put(os, f, "dram_bytes", r.dram_bytes);
-    put(os, f, "chains_direct", r.chains_direct);
-    put(os, f, "chains_spilled", r.chains_spilled);
-    put(os, f, "tasks_queued", r.tasks_queued);
-    put(os, f, "noc_peak_link_utilization", r.noc_peak_link_utilization);
-    put(os, f, "job_latency_mean", r.job_latency_mean);
-    put(os, f, "job_latency_p50", r.job_latency_p50);
-    put(os, f, "job_latency_p95", r.job_latency_p95);
-    put(os, f, "job_latency_max", r.job_latency_max);
-    os << "}";
+    put(out, f, "avg_abb_utilization", r.avg_abb_utilization);
+    put(out, f, "peak_abb_utilization", r.peak_abb_utilization);
+    put(out, f, "l2_hit_rate", r.l2_hit_rate);
+    put(out, f, "dram_bytes", r.dram_bytes);
+    put(out, f, "chains_direct", r.chains_direct);
+    put(out, f, "chains_spilled", r.chains_spilled);
+    put(out, f, "tasks_queued", r.tasks_queued);
+    put(out, f, "noc_peak_link_utilization", r.noc_peak_link_utilization);
+    put(out, f, "job_latency_mean", r.job_latency_mean);
+    put(out, f, "job_latency_p50", r.job_latency_p50);
+    put(out, f, "job_latency_p95", r.job_latency_p95);
+    put(out, f, "job_latency_max", r.job_latency_max);
+    out += '}';
   }
-  put(os, first, "events", entry.events);
-  member(os, first, "event_kinds");
+  put(out, first, "events", entry.events);
+  member(out, first, "event_kinds");
   {
-    os << "{";
+    out += '{';
     bool k = true;
     for (std::size_t i = 0; i < sim::kNumEventKinds; ++i) {
-      put(os, k, sim::event_kind_name(static_cast<sim::EventKind>(i)),
+      put(out, k, sim::event_kind_name(static_cast<sim::EventKind>(i)),
           entry.event_kinds[i].count);
     }
-    os << "}";
+    out += '}';
   }
-  member(os, first, "metrics");
-  obs::MetricsExporter::write_snapshot_exact(os, entry.metrics);
-  os << "}\n";
-  return os.str();
+  member(out, first, "metrics");
+  obs::MetricsExporter::append_json(out, entry.metrics, kExactDigits);
+  out += '}';
 }
 
 bool ResultCache::from_json(const std::string& text, std::uint64_t key,

@@ -90,10 +90,15 @@ class ResultCache {
   std::uint64_t disk_hits() const ARA_EXCLUDES(mu_);
   std::size_t size() const ARA_EXCLUDES(mu_);
 
-  /// Serialize an entry as one JSON object (exact precision). Exposed for
-  /// tests; `key`/`salt` are embedded for validation on load.
+  /// Serialize an entry as one JSON object (exact precision) plus a
+  /// newline: the disk tier's file bytes. `key`/`salt` are embedded for
+  /// validation on load.
   static std::string to_json(std::uint64_t key, std::uint64_t salt,
                              const Entry& entry);
+  /// The entry encoder to_json wraps: append the object without the
+  /// newline (how a served sweep frame embeds each entry).
+  static void append_json(std::string& out, std::uint64_t key,
+                          std::uint64_t salt, const Entry& entry);
   /// Inverse of to_json. False on malformed JSON, wrong shape, or a
   /// key/salt mismatch.
   static bool from_json(const std::string& text, std::uint64_t key,

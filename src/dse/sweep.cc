@@ -11,29 +11,6 @@
 
 namespace ara::dse {
 
-namespace {
-
-/// Fill one result slot from a cache/coalescer entry. Host-dependent
-/// fields (wall seconds, worker) stay 0: nothing was simulated here.
-void fill_from_entry(SweepResult* out, ResultCache::Entry entry) {
-  out->result = std::move(entry.result);
-  out->metrics = std::move(entry.metrics);
-  out->events = entry.events;
-  out->event_kinds = entry.event_kinds;
-}
-
-/// The deterministic portion of a fresh result, as the cache stores it.
-ResultCache::Entry entry_of(const SweepResult& fresh) {
-  ResultCache::Entry entry;
-  entry.result = fresh.result;
-  entry.metrics = fresh.metrics;
-  entry.events = fresh.events;
-  entry.event_kinds = fresh.event_kinds;
-  return entry;
-}
-
-}  // namespace
-
 std::vector<ConfigPoint> paper_network_configs(std::uint32_t islands) {
   std::vector<ConfigPoint> points;
   points.push_back({"proxy-xbar", core::ArchConfig::paper_baseline(islands)});
@@ -93,14 +70,11 @@ std::vector<SweepResult> run(const SweepRequest& request) {
       config_check(job.workload != nullptr, "SweepJob has no workload");
       std::uint64_t key = 0;
       if (keyed) key = ResultCache::key(job.config, *job.workload, salt);
-      if (request.cache != nullptr) {
-        ResultCache::Entry entry;
-        if (request.cache->lookup(key, &entry)) {
-          fill_from_entry(&results[i], std::move(entry));
-          results[i].from_cache = true;
-          if (trace != nullptr) ++trace->hits;
-          continue;
-        }
+      results[i].key = key;
+      if (request.cache != nullptr && request.cache->lookup(key, &results[i])) {
+        results[i].from_cache = true;
+        if (trace != nullptr) ++trace->hits;
+        continue;
       }
       if (request.coalescer != nullptr) {
         const auto local = claimed_here.find(key);
@@ -140,26 +114,25 @@ std::vector<SweepResult> run(const SweepRequest& request) {
       throw;
     }
     for (std::size_t m = 0; m < fresh.size(); ++m) {
-      if (keyed) {
-        const ResultCache::Entry entry = entry_of(fresh[m]);
-        // Cache before publish: a request that joins after the publish
-        // retires the key must find the entry in the cache, not start a
-        // redundant simulation.
-        if (request.cache != nullptr) {
-          request.cache->insert(miss_key[m], entry);
-        }
-        if (request.coalescer != nullptr) {
-          request.coalescer->publish(miss_ticket[m], entry);
-        }
+      // Cache before publish: a request that joins after the publish
+      // retires the key must find the entry in the cache, not start a
+      // redundant simulation.
+      if (request.cache != nullptr) {
+        request.cache->insert(miss_key[m], fresh[m]);
       }
+      if (request.coalescer != nullptr) {
+        request.coalescer->publish(miss_ticket[m], fresh[m]);
+      }
+      fresh[m].key = miss_key[m];
       results[miss_slot[m]] = std::move(fresh[m]);
     }
   }
 
-  // Duplicates of our own fresh points: simulated once, fanned out.
+  // Duplicates of our own fresh points: simulated once, fanned out. Only
+  // the Entry part is copied; the alias keeps its own flags.
   for (const Alias& alias : aliases) {
-    fill_from_entry(&results[alias.slot],
-                    entry_of(results[miss_slot[alias.miss]]));
+    static_cast<ResultCache::Entry&>(results[alias.slot]) =
+        results[miss_slot[alias.miss]];
     results[alias.slot].coalesced = true;
   }
 
@@ -174,10 +147,8 @@ std::vector<SweepResult> run(const SweepRequest& request) {
   {
     obs::ScopedSpan wait_span(trace, obs::Phase::kCoalesceWait);
     for (const Follower& f : followers) {
-      ResultCache::Entry entry;
-      if (request.coalescer->wait(f.ticket, &entry) ==
+      if (request.coalescer->wait(f.ticket, &results[f.slot]) ==
           PointCoalescer::Outcome::kReady) {
-        fill_from_entry(&results[f.slot], std::move(entry));
         results[f.slot].coalesced = true;
       } else {
         orphan_slot.push_back(f.slot);
@@ -198,8 +169,9 @@ std::vector<SweepResult> run(const SweepRequest& request) {
     auto fresh = executor.run(orphan_jobs);
     for (std::size_t m = 0; m < fresh.size(); ++m) {
       if (request.cache != nullptr) {
-        request.cache->insert(orphan_key[m], entry_of(fresh[m]));
+        request.cache->insert(orphan_key[m], fresh[m]);
       }
+      fresh[m].key = orphan_key[m];
       results[orphan_slot[m]] = std::move(fresh[m]);
     }
   }

@@ -9,17 +9,13 @@
 // identifiers from coming back.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/arch_config.h"
-#include "core/run_result.h"
 #include "dse/result_cache.h"
-#include "obs/metrics_export.h"
 #include "obs/span.h"
-#include "sim/event_queue.h"
 #include "workloads/workload.h"
 
 namespace ara::dse {
@@ -47,17 +43,18 @@ struct SweepJob {
   const workloads::Workload* workload = nullptr;
 };
 
-/// Per-point outcome: the simulation result plus host-side observability.
-struct SweepResult {
-  core::RunResult result;
-
+/// Per-point outcome: the deterministic ResultCache::Entry (result,
+/// metrics, events, event_kinds; identical for serial and parallel runs,
+/// and restored exactly on a cache hit) plus host-side observability.
+struct SweepResult : ResultCache::Entry {
+  /// The point's cache key as dse::run computed it (under the cache's
+  /// salt, or kSimVersionSalt with only a coalescer); 0 when the request
+  /// had neither cache nor coalescer.
+  std::uint64_t key = 0;
   /// Host wall-clock seconds this point cost: building its System,
   /// simulating, and destroying the System again (0 for a cache hit —
   /// nothing was simulated).
   double wall_seconds = 0;
-  /// Discrete events the point's Simulator executed (determinism and
-  /// cost-model telemetry). Restored exactly on a cache hit.
-  std::uint64_t events = 0;
   /// Index of the worker thread that ran the point (0 .. jobs-1; 0 for a
   /// cache hit).
   unsigned worker = 0;
@@ -70,13 +67,6 @@ struct SweepResult {
   /// nothing was simulated by this request, and the deterministic fields
   /// are bit-identical to a fresh simulation.
   bool coalesced = false;
-
-  /// Full StatRegistry snapshot of the point's System (deterministic;
-  /// identical for serial and parallel runs of the same sweep).
-  obs::MetricsSnapshot metrics;
-  /// Per-EventKind dispatch counts from the point's Simulator
-  /// (deterministic; restored exactly on a cache hit).
-  std::array<sim::EventKindStats, sim::kNumEventKinds> event_kinds{};
 };
 
 /// Everything dse::run needs to execute one sweep. Results come back in

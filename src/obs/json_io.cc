@@ -1,6 +1,8 @@
 #include "obs/json_io.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -311,51 +313,76 @@ bool parse_json(std::string_view text, JsonValue* out, std::string* error) {
   return Reader(text).run(out, error);
 }
 
-void json_escape(std::ostream& os, std::string_view s) {
-  for (const char raw : s) {
-    const auto c = static_cast<unsigned char>(raw);
+void append_escaped(std::string& out, std::string_view s) {
+  std::size_t run = 0;  // first byte not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        os << "\\\"";
+        out += "\\\"";
         break;
       case '\\':
-        os << "\\\\";
+        out += "\\\\";
         break;
       case '\b':
-        os << "\\b";
+        out += "\\b";
         break;
       case '\f':
-        os << "\\f";
+        out += "\\f";
         break;
       case '\n':
-        os << "\\n";
+        out += "\\n";
         break;
       case '\r':
-        os << "\\r";
+        out += "\\r";
         break;
       case '\t':
-        os << "\\t";
+        out += "\\t";
         break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << raw;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char u[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(u, sizeof u);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
 }
 
-void json_number(std::ostream& os, double v, int digits) {
+void append_number(std::string& out, std::uint64_t v) {
+  if (v < 10) {  // most histogram buckets in an entry are 0
+    out += static_cast<char>('0' + v);
+    return;
+  }
+  char buf[20];  // UINT64_MAX has 20 digits
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void append_number(std::string& out, double v, int digits) {
   if (!std::isfinite(v)) {
-    os << 0;  // JSON has no NaN/Inf
+    out += '0';  // JSON has no NaN/Inf
     return;
   }
   char buf[40];
-  std::snprintf(buf, sizeof buf, "%.*g", digits, v);
-  os << buf;
+  const int n = std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+  if (n > 0) {
+    out.append(buf, std::min(static_cast<std::size_t>(n), sizeof buf - 1));
+  }
+}
+
+void json_escape(std::ostream& os, std::string_view s) {
+  std::string out;
+  append_escaped(out, s);
+  os << out;
+}
+
+void json_number(std::ostream& os, double v, int digits) {
+  std::string out;
+  append_number(out, v, digits);
+  os << out;
 }
 
 }  // namespace ara::obs

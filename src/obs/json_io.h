@@ -1,4 +1,4 @@
-// Minimal JSON reader (DOM) + shared writer helpers, zero dependencies.
+// Minimal JSON reader (DOM) + the one JSON writer, zero dependencies.
 //
 // The exporters in this module only ever needed to WRITE JSON; the DSE
 // result cache also needs to READ it back (RunResult + MetricsSnapshot
@@ -7,6 +7,13 @@
 // (json_check.h) is this parser with the DOM discarded.
 // Numbers keep their raw source token so 64-bit counters (which do not fit
 // a double) and 17-digit doubles both round-trip exactly.
+//
+// Writing: append_escaped / append_number format into a std::string and
+// hold every formatting rule. The cache-entry path (ResultCache::to_json,
+// MetricsExporter's snapshot object, the served sweep frame) appends to
+// one string; json_escape / json_number are ostream wrappers over the same
+// functions, so stream writers (traces, request log, tools) print the
+// same bytes.
 #pragma once
 
 #include <cstdint>
@@ -48,11 +55,18 @@ class JsonValue {
 bool parse_json(std::string_view text, JsonValue* out,
                 std::string* error = nullptr);
 
-/// Writer helpers shared by MetricsExporter, TraceCollector-adjacent code
-/// and the result cache.
+/// String contents without the quotes: '"' and '\\' escaped, \b \f \n
+/// \r \t by name, other bytes below 0x20 as \u00xx; every other byte
+/// (UTF-8 included) is copied unchanged.
+void append_escaped(std::string& out, std::string_view s);
+/// Decimal digits, as std::to_string writes them.
+void append_number(std::string& out, std::uint64_t v);
+/// printf "%.*g" with `digits` significant digits; 17 round-trips doubles
+/// exactly. NaN/Inf (invalid JSON) degrade to 0.
+void append_number(std::string& out, double v, int digits);
+
+/// ostream forms of append_escaped and append_number.
 void json_escape(std::ostream& os, std::string_view s);
-/// `digits` significant digits; 17 round-trips doubles exactly. NaN/Inf
-/// (invalid JSON) degrade to 0.
 void json_number(std::ostream& os, double v, int digits);
 
 }  // namespace ara::obs

@@ -1,7 +1,5 @@
 #include "obs/metrics_export.h"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 
 namespace ara::obs {
@@ -9,7 +7,7 @@ namespace ara::obs {
 namespace {
 
 /// Display-oriented precision for write_json/write_csv; the exact writer
-/// passes 17 (see json_number in json_io.h).
+/// passes 17 (see append_number in json_io.h).
 constexpr int kDisplayDigits = 12;
 constexpr int kExactDigits = 17;
 
@@ -26,62 +24,6 @@ void csv_field(std::ostream& os, const std::string& s) {
     os << c;
   }
   os << '"';
-}
-
-void csv_number(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.12g", std::isfinite(v) ? v : 0.0);
-  os << buf;
-}
-
-void write_snapshot_object(std::ostream& os, const MetricsSnapshot& snap,
-                           int digits) {
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& c : snap.counters) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"";
-    json_escape(os, c.name);
-    os << "\":" << c.value;
-  }
-  os << "},\"accumulators\":{";
-  first = true;
-  for (const auto& a : snap.accumulators) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"";
-    json_escape(os, a.name);
-    os << "\":{\"sum\":";
-    json_number(os, a.sum, digits);
-    os << ",\"count\":" << a.count << ",\"mean\":";
-    json_number(os, a.mean, digits);
-    os << ",\"min\":";
-    json_number(os, a.min, digits);
-    os << ",\"max\":";
-    json_number(os, a.max, digits);
-    os << "}";
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& h : snap.histograms) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"";
-    json_escape(os, h.name);
-    os << "\":{\"count\":" << h.count << ",\"mean\":";
-    json_number(os, h.mean, digits);
-    os << ",\"min\":" << h.min << ",\"max\":" << h.max << ",\"p50\":" << h.p50
-       << ",\"p95\":" << h.p95
-       << ",\"p99\":" << h.p99 << ",\"bucket_width\":" << h.bucket_width
-       << ",\"buckets\":[";
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (i > 0) os << ",";
-      os << h.buckets[i];
-    }
-    os << "]}";
-  }
-  os << "}}";
 }
 
 }  // namespace
@@ -124,15 +66,81 @@ MetricsSnapshot MetricsSnapshot::capture(const sim::StatRegistry& registry) {
   return snap;
 }
 
+void MetricsExporter::append_json(std::string& out,
+                                  const MetricsSnapshot& snapshot,
+                                  int digits) {
+  out += "{\"counters\":{";
+  bool first = true;
+  for (const auto& c : snapshot.counters) {
+    out += first ? "\"" : ",\"";
+    first = false;
+    append_escaped(out, c.name);
+    out += "\":";
+    append_number(out, c.value);
+  }
+  out += "},\"accumulators\":{";
+  first = true;
+  for (const auto& a : snapshot.accumulators) {
+    out += first ? "\"" : ",\"";
+    first = false;
+    append_escaped(out, a.name);
+    out += "\":{\"sum\":";
+    append_number(out, a.sum, digits);
+    out += ",\"count\":";
+    append_number(out, a.count);
+    out += ",\"mean\":";
+    append_number(out, a.mean, digits);
+    out += ",\"min\":";
+    append_number(out, a.min, digits);
+    out += ",\"max\":";
+    append_number(out, a.max, digits);
+    out += '}';
+  }
+  out += "},\"histograms\":{";
+  first = true;
+  for (const auto& h : snapshot.histograms) {
+    out += first ? "\"" : ",\"";
+    first = false;
+    append_escaped(out, h.name);
+    out += "\":{\"count\":";
+    append_number(out, h.count);
+    out += ",\"mean\":";
+    append_number(out, h.mean, digits);
+    out += ",\"min\":";
+    append_number(out, h.min);
+    out += ",\"max\":";
+    append_number(out, h.max);
+    out += ",\"p50\":";
+    append_number(out, h.p50);
+    out += ",\"p95\":";
+    append_number(out, h.p95);
+    out += ",\"p99\":";
+    append_number(out, h.p99);
+    out += ",\"bucket_width\":";
+    append_number(out, h.bucket_width);
+    out += ",\"buckets\":[";
+    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
+      if (i > 0) out += ',';
+      append_number(out, h.buckets[i]);
+    }
+    out += "]}";
+  }
+  out += "}}";
+}
+
 void MetricsExporter::write_json(std::ostream& os,
                                  const MetricsSnapshot& snapshot) {
-  write_snapshot_object(os, snapshot, kDisplayDigits);
-  os << "\n";
+  std::string out;
+  append_json(out, snapshot, kDisplayDigits);
+  out += '\n';
+  os << out;
 }
 
 void MetricsExporter::write_snapshot_exact(std::ostream& os,
                                            const MetricsSnapshot& snapshot) {
-  write_snapshot_object(os, snapshot, kExactDigits);
+  std::string out;
+  append_json(out, snapshot, kExactDigits);
+  os << out;
 }
 
 bool MetricsExporter::snapshot_from_json(const JsonValue& value,
@@ -212,20 +220,20 @@ void MetricsExporter::write_csv(std::ostream& os,
     os << "accumulator,";
     csv_field(os, a.name);
     os << ",";
-    csv_number(os, a.sum);
+    json_number(os, a.sum, kDisplayDigits);
     os << "," << a.count << ",";
-    csv_number(os, a.mean);
+    json_number(os, a.mean, kDisplayDigits);
     os << ",";
-    csv_number(os, a.min);
+    json_number(os, a.min, kDisplayDigits);
     os << ",";
-    csv_number(os, a.max);
+    json_number(os, a.max, kDisplayDigits);
     os << ",,,\n";
   }
   for (const auto& h : snapshot.histograms) {
     os << "histogram,";
     csv_field(os, h.name);
     os << ",," << h.count << ",";
-    csv_number(os, h.mean);
+    json_number(os, h.mean, kDisplayDigits);
     os << "," << h.min << ","
        << h.max << "," << h.p50 << "," << h.p95 << "," << h.p99 << "\n";
   }
@@ -235,18 +243,19 @@ void MetricsExporter::write_labeled_json(
     std::ostream& os,
     const std::vector<std::pair<std::string, const MetricsSnapshot*>>&
         points) {
-  os << "{\"points\":[";
+  std::string out = "{\"points\":[";
   bool first = true;
   for (const auto& [label, snap] : points) {
-    if (!first) os << ",";
+    if (!first) out += ',';
     first = false;
-    os << "\n{\"label\":\"";
-    json_escape(os, label);
-    os << "\",\"metrics\":";
-    write_snapshot_object(os, *snap, kDisplayDigits);
-    os << "}";
+    out += "\n{\"label\":\"";
+    append_escaped(out, label);
+    out += "\",\"metrics\":";
+    append_json(out, *snap, kDisplayDigits);
+    out += '}';
   }
-  os << "\n]}\n";
+  out += "\n]}\n";
+  os << out;
 }
 
 bool MetricsExporter::write_file(const std::string& path,

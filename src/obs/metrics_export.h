@@ -66,8 +66,14 @@ struct MetricsSnapshot {
 
 class MetricsExporter {
  public:
-  /// Full snapshot as one JSON object:
+  /// The snapshot writer: append one JSON object (no trailing newline),
   ///   {"counters":{...},"accumulators":{...},"histograms":{...}}
+  /// with `digits` significant digits per double (json_io.h). The ostream
+  /// writers below wrap it.
+  static void append_json(std::string& out, const MetricsSnapshot& snapshot,
+                          int digits);
+
+  /// Full snapshot as one JSON object (12-digit doubles) plus a newline.
   static void write_json(std::ostream& os, const MetricsSnapshot& snapshot);
 
   /// Flat CSV: kind,name,value,count,mean,min,max,p50,p95,p99.

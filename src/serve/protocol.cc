@@ -458,34 +458,31 @@ std::string stats_response(const obs::MetricsSnapshot& snapshot) {
 }
 
 std::string sweep_response(const std::vector<dse::SweepResult>& results,
-                           const std::vector<std::uint64_t>& keys,
                            std::uint64_t salt, std::uint64_t trace_id) {
-  std::ostringstream os;
-  os << "{\"type\":\"sweep_result\",";
+  std::string out = "{\"type\":\"sweep_result\",";
   // 0 = untraced (direct protocol users); the server always mints one.
-  if (trace_id != 0) os << "\"trace_id\":" << trace_id << ",";
-  os << "\"points\":[";
+  if (trace_id != 0) {
+    out += "\"trace_id\":";
+    obs::append_number(out, trace_id);
+    out += ',';
+  }
+  out += "\"points\":[";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const dse::SweepResult& r = results[i];
-    if (i > 0) os << ",";
-    os << "{\"from_cache\":" << (r.from_cache ? "true" : "false")
-       << ",\"coalesced\":" << (r.coalesced ? "true" : "false")
-       << ",\"wall_seconds\":";
-    obs::json_number(os, r.wall_seconds, 17);
-    os << ",\"entry\":";
-    dse::ResultCache::Entry entry;
-    entry.result = r.result;
-    entry.metrics = r.metrics;
-    entry.events = r.events;
-    entry.event_kinds = r.event_kinds;
-    std::string entry_json = dse::ResultCache::to_json(keys[i], salt, entry);
-    while (!entry_json.empty() && entry_json.back() == '\n') {
-      entry_json.pop_back();
-    }
-    os << entry_json << "}";
+    if (i > 0) out += ',';
+    out += r.from_cache ? "{\"from_cache\":true" : "{\"from_cache\":false";
+    out += r.coalesced ? ",\"coalesced\":true" : ",\"coalesced\":false";
+    out += ",\"wall_seconds\":";
+    obs::append_number(out, r.wall_seconds, 17);
+    out += ",\"entry\":";
+    dse::ResultCache::append_json(out, r.key, salt, r);
+    out += '}';
+    // Reserve the frame once, sized from the first point, instead of
+    // growing it through every entry.
+    if (i == 0) out.reserve(out.size() * results.size() + 2);
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 std::string search_response(const dse::SearchResult& result,

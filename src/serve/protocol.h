@@ -52,7 +52,10 @@
 // cache, or by coalescing — the serving contract the smoke test pins.
 // "trace_id" on an error frame is present whenever the server minted a
 // trace at admission (i.e. the request parsed), so failures join against
-// the --log JSONL exactly like successes.
+// the --log JSONL exactly like successes. A sweep whose response frame
+// would exceed kMaxFrameBytes is answered with a bad_request naming the
+// size and the limit (its points are cached by then, so the same points
+// in smaller sweeps hit).
 #pragma once
 
 #include <cstdint>
@@ -143,13 +146,12 @@ std::string error_response(std::string_view code, std::string_view message,
 /// {"type":"stats","metrics":{...}} via MetricsExporter::write_json.
 std::string stats_response(const obs::MetricsSnapshot& snapshot);
 /// Sweep response: per-point flags plus the ResultCache entry object for
-/// each result. `keys` are the content-hash keys aligned with `results`;
-/// `salt` is the cache salt the keys were computed under. A non-zero
-/// `trace_id` is echoed as "trace_id" so a client can correlate its
-/// response with the server's request log; it never affects the entry
-/// objects (the bit-identity contract covers entries, not envelope).
+/// each result, keyed by the SweepResult::key dse::run computed; `salt`
+/// is the cache salt the keys were computed under. A non-zero `trace_id`
+/// is echoed as "trace_id" so a client can correlate its response with
+/// the server's request log; it never affects the entry objects (the
+/// bit-identity contract covers entries, not envelope).
 std::string sweep_response(const std::vector<dse::SweepResult>& results,
-                           const std::vector<std::uint64_t>& keys,
                            std::uint64_t salt, std::uint64_t trace_id = 0);
 /// Search response: warmth telemetry in the envelope, the deterministic
 /// dse::search_result_json block under "result".

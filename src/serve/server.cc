@@ -149,13 +149,9 @@ std::string Server::execute_sweep(const protocol::Request& request,
     sweep.cache = &cache_;
     sweep.coalescer = &coalescer_;
     sweep.trace = trace;
-    std::vector<std::uint64_t> keys;
-    keys.reserve(request.points.size());
     for (const auto& point : request.points) {
       core::ArchConfig config = point.to_config();
       config.validate();
-      keys.push_back(
-          dse::ResultCache::key(config, workload, cache_.salt()));
       sweep.add(std::move(config), workload);
     }
     const std::vector<dse::SweepResult> results = dse::run(sweep);
@@ -174,9 +170,24 @@ std::string Server::execute_sweep(const protocol::Request& request,
         }
       }
     }
+    const std::uint64_t trace_id = trace != nullptr ? trace->id : 0;
     obs::ScopedSpan serialize_span(trace, obs::Phase::kSerialize);
-    return protocol::sweep_response(results, keys, cache_.salt(),
-                                    trace != nullptr ? trace->id : 0);
+    std::string response =
+        protocol::sweep_response(results, cache_.salt(), trace_id);
+    if (response.size() <= protocol::kMaxFrameBytes) return response;
+    // write_frame would refuse this payload and the session would close
+    // without a frame. The points are in the cache by now, so smaller
+    // sweeps over the same points are hits.
+    if (trace != nullptr) trace->error = "bad_request";
+    common::MutexLock lock(mu_);
+    stats_.counter("serve.server.errors").inc();
+    return protocol::error_response(
+        "bad_request",
+        "sweep response of " + std::to_string(response.size()) +
+            " bytes exceeds the " + std::to_string(protocol::kMaxFrameBytes) +
+            "-byte frame limit; its points are now cached, so splitting "
+            "the sweep into smaller requests serves them as cache hits",
+        trace_id);
   } catch (const ConfigError& e) {
     if (trace != nullptr) {
       trace->error = "bad_request";

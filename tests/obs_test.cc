@@ -1,21 +1,132 @@
-// Observability layer: trace JSON escaping/validity, capacity + category
-// filtering, metrics export (JSON/CSV), the strict JSON validator, and the
-// end-to-end System integration (instrumented registry, rich traces,
-// deterministic metrics under the parallel sweep executor).
+// Observability layer: the JSON writer's formatting rules, trace JSON
+// escaping/validity, capacity + category filtering, metrics export
+// (JSON/CSV), the strict JSON validator, and the end-to-end System
+// integration (instrumented registry, rich traces, deterministic metrics
+// under the parallel sweep executor).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <random>
 #include <sstream>
 
 #include "core/arch_config.h"
 #include "core/system.h"
 #include "dse/parallel_sweep.h"
 #include "obs/json_check.h"
+#include "obs/json_io.h"
 #include "obs/metrics_export.h"
 #include "sim/trace.h"
 #include "workloads/registry.h"
 
 namespace ara {
 namespace {
+
+// ---- json_io writer ----
+
+// The per-character escape rule the string writer replaced, kept as the
+// reference it must match byte for byte.
+std::string reference_escape(std::string_view s) {
+  std::string out;
+  for (const char raw : s) {
+    const auto c = static_cast<unsigned char>(raw);
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += raw;
+        }
+    }
+  }
+  return out;
+}
+
+std::string reference_number(double v, int digits) {
+  if (!std::isfinite(v)) return "0";
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+  return buf;
+}
+
+TEST(JsonIo, StringWriterMatchesStreamRules) {
+  std::mt19937_64 rng(20261018);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> doubles = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3, 123456789012.0,
+      9007199254740993.0, 1e21, DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX,
+      DBL_TRUE_MIN, DBL_MIN / 3, -DBL_MIN / 7,  // the last three subnormal
+      std::numeric_limits<double>::quiet_NaN(), kInf, -kInf};
+  for (int i = 0; i < 20000; ++i) {
+    doubles.push_back(std::bit_cast<double>(rng()));  // NaNs included
+  }
+  for (int i = 0; i < 2000; ++i) {  // integers of every magnitude
+    doubles.push_back(static_cast<double>(rng() >> (rng() % 64)));
+  }
+  for (const int digits : {12, 17}) {
+    for (const double v : doubles) {
+      const std::string want = reference_number(v, digits);
+      std::string out = "x";
+      obs::append_number(out, v, digits);
+      ASSERT_EQ(out, "x" + want) << std::bit_cast<std::uint64_t>(v);
+      std::ostringstream os;
+      obs::json_number(os, v, digits);
+      ASSERT_EQ(os.str(), want);
+    }
+  }
+
+  std::vector<std::uint64_t> ints = {0, 1, 9, 10, 99, 100,
+                                     UINT64_MAX, UINT64_MAX - 1};
+  for (std::uint64_t p = 10; p <= UINT64_MAX / 10; p *= 10) {
+    ints.insert(ints.end(), {p - 1, p, p + 1});
+  }
+  for (int i = 0; i < 20000; ++i) ints.push_back(rng() >> (rng() % 64));
+  for (const std::uint64_t v : ints) {
+    std::string out = "x";
+    obs::append_number(out, v);
+    ASSERT_EQ(out, "x" + std::to_string(v));
+  }
+
+  std::vector<std::string> strings;
+  for (int c = 0; c < 256; ++c) strings.emplace_back(1, static_cast<char>(c));
+  strings.push_back(
+      "plain run \"quoted\" back\\slash\x01\x1f\b\f\n\r\t del\x7f "
+      "utf8 \xc3\xa9\xe2\x82\xac high\xff end");
+  for (const std::string& s : strings) {
+    std::string out = "x";
+    obs::append_escaped(out, s);
+    ASSERT_EQ(out, "x" + reference_escape(s)) << static_cast<int>(s[0]);
+    std::ostringstream os;
+    obs::json_escape(os, s);
+    ASSERT_EQ(os.str(), reference_escape(s));
+  }
+}
 
 // ---- json_check ----
 

@@ -95,12 +95,7 @@ TEST(ResultCache, MemoryTierHitRestoresEntry) {
   EXPECT_FALSE(cache.lookup(k, &miss));
   EXPECT_EQ(cache.misses(), 1u);
 
-  ResultCache::Entry entry;
-  entry.result = fresh.result;
-  entry.metrics = fresh.metrics;
-  entry.events = fresh.events;
-  entry.event_kinds = fresh.event_kinds;
-  cache.insert(k, entry);
+  cache.insert(k, fresh);
   EXPECT_EQ(cache.size(), 1u);
 
   ResultCache::Entry hit;
@@ -121,12 +116,7 @@ TEST(ResultCache, DiskTierRoundTripsBitExactly) {
 
   {
     ResultCache writer(dir);
-    ResultCache::Entry entry;
-    entry.result = fresh.result;
-    entry.metrics = fresh.metrics;
-    entry.events = fresh.events;
-    entry.event_kinds = fresh.event_kinds;
-    writer.insert(k, entry);
+    writer.insert(k, fresh);
     ASSERT_TRUE(std::filesystem::exists(writer.entry_path(k)));
   }
 
@@ -154,11 +144,7 @@ TEST(ResultCache, DiskTierRoundTripsBitExactly) {
 TEST(ResultCache, EntryJsonIsStrictlyValid) {
   const auto cfg = core::ArchConfig::paper_baseline(3);
   const auto wl = test_workload();
-  const auto fresh = run_one(cfg, wl);
-  ResultCache::Entry entry;
-  entry.result = fresh.result;
-  entry.metrics = fresh.metrics;
-  entry.events = fresh.events;
+  const ResultCache::Entry entry = run_one(cfg, wl);
 
   const std::uint64_t k = ResultCache::key(cfg, wl);
   const std::string text = ResultCache::to_json(k, kSimVersionSalt, entry);
@@ -354,14 +340,7 @@ TEST(ResultCache, ConcurrentSameKeyDiskInsertsStayWellFormed) {
   const auto cfg = core::ArchConfig::paper_baseline(3);
   const std::string dir = scratch_dir("concurrent_insert");
 
-  ResultCache::Entry entry;
-  {
-    const SweepResult fresh = run_one(cfg, wl);
-    entry.result = fresh.result;
-    entry.metrics = fresh.metrics;
-    entry.events = fresh.events;
-    entry.event_kinds = fresh.event_kinds;
-  }
+  const ResultCache::Entry entry = run_one(cfg, wl);
 
   ResultCache cache(dir);
   const std::uint64_t key = ResultCache::key(cfg, wl, cache.salt());

@@ -385,6 +385,24 @@ TEST(Protocol, ErrorResponseCarriesTheTraceIdWhenMinted) {
             "\"message\":\"nope\",\"trace_id\":7}");
 }
 
+// A sweep_result frame's bytes, envelope included, are what clients parse.
+// A warm sweep makes them deterministic (every point from_cache with
+// wall_seconds 0), so the FNV-1a of the whole frame is pinned.
+TEST(Protocol, SweepResponseBytesArePinned) {
+  const auto wl = workloads::make_benchmark("Denoise", 0.03);
+  dse::ResultCache cache;
+  dse::SweepRequest sweep;
+  sweep.add(core::ArchConfig::paper_baseline(3), wl)
+      .add(core::ArchConfig::ring_design(6, 1, 16), wl)
+      .with_cache(&cache);
+  dse::run(sweep);  // cold: fills the cache
+  const std::string frame =
+      protocol::sweep_response(dse::run(sweep), cache.salt(), 42);
+  EXPECT_TRUE(obs::validate_json(frame));
+  EXPECT_EQ(frame.size(), 29178u);
+  EXPECT_EQ(core::fnv1a64(frame), 0x2067447a5ccf2b0bull);
+}
+
 // -------------------------------------------------------- search parsing
 
 TEST(Protocol, ParsesSearchWithDefaults) {
@@ -469,15 +487,6 @@ TEST(Protocol, RejectsMalformedSearchRequests) {
 
 // ------------------------------------------------------------ coalescing
 
-dse::ResultCache::Entry entry_of(const dse::SweepResult& r) {
-  dse::ResultCache::Entry entry;
-  entry.result = r.result;
-  entry.metrics = r.metrics;
-  entry.events = r.events;
-  entry.event_kinds = r.event_kinds;
-  return entry;
-}
-
 TEST(Coalescer, DuplicatePointsInOneRequestSimulateOnce) {
   const auto wl = workloads::make_benchmark("Denoise", 0.03);
   const auto config = core::ArchConfig::ring_design(3, 1, 16);
@@ -522,8 +531,8 @@ TEST(Coalescer, FollowerGetsLeaderEntryBitExact) {
   // Deterministic hand-off: publish only after the other request has
   // verifiably joined as a follower.
   while (coalescer.coalesced() < 1) std::this_thread::yield();
-  cache.insert(key, entry_of(plain));  // cache-then-publish, as dse::run does
-  coalescer.publish(leader, entry_of(plain));
+  cache.insert(key, plain);  // cache-then-publish, as dse::run does
+  coalescer.publish(leader, plain);
   follower.join();
 
   ASSERT_EQ(follower_results.size(), 1u);
@@ -607,8 +616,8 @@ TEST(Coalescer, TracedRunIsBitIdenticalAndCountsOutcomes) {
   }
   const std::uint64_t key = dse::ResultCache::key(small, wl, cache.salt());
   EXPECT_EQ(
-      dse::ResultCache::to_json(key, cache.salt(), entry_of(traced[0])),
-      dse::ResultCache::to_json(key, cache.salt(), entry_of(plain[0])));
+      dse::ResultCache::to_json(key, cache.salt(), traced[0]),
+      dse::ResultCache::to_json(key, cache.salt(), plain[0]));
 
   // Warm repeat against the same cache: pure hits.
   obs::RequestTrace warm;
@@ -728,8 +737,8 @@ TEST(Server, ServedEntriesAreBitIdenticalToLocalDseRun) {
   const auto served = extract_entries(response);
   ASSERT_EQ(served.size(), req.points.size());
   for (std::size_t i = 0; i < served.size(); ++i) {
-    EXPECT_EQ(served[i], trimmed_entry_json(keys[i], dse::kSimVersionSalt,
-                                            entry_of(local[i])))
+    EXPECT_EQ(served[i],
+              trimmed_entry_json(keys[i], dse::kSimVersionSalt, local[i]))
         << "served point " << i << " diverged from the local dse::run";
   }
 
@@ -894,6 +903,61 @@ TEST(Server, PingStatsAndBadWorkload) {
   ASSERT_NE(metrics, nullptr);
   EXPECT_NE(metrics->find("counters"), nullptr);
   server.stop();
+}
+
+// write_frame refuses a payload over kMaxFrameBytes, so an oversized sweep
+// response must come back as a typed error, not a dropped connection. 600
+// copies of one 24-island point (one simulation, the rest aliases, about
+// 35.7 KB per entry) cross the 16 MiB limit.
+TEST(Server, OversizedSweepResponseIsATypedBadRequest) {
+  const std::string dir = testing::TempDir() + "ara_serve_oversized";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ServerOptions opts;
+  opts.jobs = 1;
+  opts.handlers = 1;
+  opts.log_path = dir + "/requests.jsonl";
+  Server server(opts);
+  server.start();
+
+  Request req;
+  req.kind = Request::Kind::kSweep;
+  req.workload = "Denoise";
+  req.scale = 0.01;
+  PointSpec big;
+  big.islands = 24;
+  req.points.assign(600, big);
+  const std::string response = server.handle(req);
+  ASSERT_LE(response.size(), protocol::kMaxFrameBytes);
+  obs::JsonValue parsed;
+  ASSERT_TRUE(obs::parse_json(response, &parsed, nullptr)) << response;
+  ASSERT_NE(parsed.find("code"), nullptr) << response;
+  ASSERT_NE(parsed.find("trace_id"), nullptr) << response;
+  ASSERT_NE(parsed.find("message"), nullptr) << response;
+  EXPECT_EQ(parsed.find("code")->text, "bad_request");
+  EXPECT_EQ(parsed.find("trace_id")->as_u64(), 1u);
+  const std::string& message = parsed.find("message")->text;
+  EXPECT_NE(message.find(std::to_string(protocol::kMaxFrameBytes)),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("cached"), std::string::npos) << message;
+
+  Request ping;
+  ping.kind = Request::Kind::kPing;
+  EXPECT_EQ(server.handle(ping), "{\"type\":\"pong\"}");
+  const auto snap = server.stats_snapshot();
+  EXPECT_EQ(counter_value(snap, "serve.server.errors"), 1u);
+  EXPECT_EQ(counter_value(snap, "serve.server.points_simulated"), 1u);
+  server.stop();
+
+  std::ifstream in(opts.log_path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  obs::JsonValue logged;
+  ASSERT_TRUE(obs::parse_json(line, &logged, nullptr)) << line;
+  EXPECT_EQ(logged.find("error")->text, "bad_request");
+  EXPECT_EQ(logged.find("outcomes")->find("miss")->as_u64(), 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Server, ZeroQueueCapacityRejectsWithOverloaded) {
