@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "common/cli_options.h"
+#include "common/config_error.h"
 #include "dse/result_cache.h"
 #include "dse/search.h"
 #include "obs/json_io.h"
@@ -49,9 +51,7 @@ struct BudgetRow {
   std::string best;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::string out_path = "BENCH_search.json";
   std::string space_name = "small";
   double scale = 0.05;
@@ -73,9 +73,10 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--scale") {
-      scale = std::atof(next().c_str());
-      if (!(scale > 0)) {
-        std::cerr << "--scale: expected a positive number\n";
+      const std::string value = next();
+      if (!ara::common::parse_scale(value, &scale)) {
+        std::cerr << "--scale: scale must be finite and > 0, got '" << value
+                  << "'\n";
         return 2;
       }
     } else {
@@ -187,4 +188,17 @@ int main(int argc, char** argv) {
   out << os.str() << "\n";
   std::cout << "report -> " << out_path << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A scale make_benchmark rejects (say 1e12: too many invocations) is a
+  // usage error, like a malformed flag.
+  try {
+    return run(argc, argv);
+  } catch (const ara::ConfigError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

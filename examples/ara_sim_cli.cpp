@@ -123,10 +123,9 @@ int main(int argc, char** argv) {
       offline = static_cast<std::uint32_t>(count(UINT32_MAX));
     } else if (arg == "--scale") {
       const std::string value = next();
-      char* end = nullptr;
-      scale = std::strtod(value.c_str(), &end);
-      if (value.empty() || *end != '\0') {
-        std::cerr << "--scale: expected a number, got '" << value << "'\n";
+      if (!common::parse_scale(value, &scale)) {
+        std::cerr << "--scale: scale must be finite and > 0, got '" << value
+                  << "'\n";
         return 2;
       }
     } else if (arg == "--csv") {

@@ -58,7 +58,7 @@ struct AbcConfig {
   /// chip (0 = one per island). ARC's dedicated accelerators are area
   /// constrained and shared across the whole domain's kernels, so a
   /// fair generational comparison derives this from the fused
-  /// accelerator's area (see bench_sec2_generations).
+  /// accelerator's area (see `ara_paper sec2`).
   std::uint32_t mono_instances = 0;
 };
 

@@ -2,7 +2,9 @@
 
 #include <charconv>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
+#include <string>
 #include <string_view>
 
 namespace ara::common {
@@ -15,6 +17,18 @@ bool parse_unsigned(std::string_view text, std::uint64_t max,
   const char* end = text.data() + text.size();
   const auto [stop, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc() || stop != end || value > max) return false;
+  *out = value;
+  return true;
+}
+
+bool parse_scale(std::string_view text, double* out) {
+  const std::string token(text);
+  char* end = nullptr;
+  const double value = std::strtod(token.c_str(), &end);
+  if (token.empty() || end != token.c_str() + token.size() ||
+      !std::isfinite(value) || !(value > 0)) {
+    return false;
+  }
   *out = value;
   return true;
 }

@@ -25,6 +25,13 @@ namespace ara::common {
 bool parse_unsigned(std::string_view text, std::uint64_t max,
                     std::uint64_t* out);
 
+/// The one workload-scale parser of every front end (ARA_BENCH_SCALE,
+/// `--scale`): strtod must consume all of `text`, and the value must be
+/// finite and > 0. Returns false and leaves `*out` untouched otherwise, so
+/// "abc", "0.5x", "0", "-1", "inf" or "nan" is an error instead of a
+/// silent default.
+bool parse_scale(std::string_view text, double* out);
+
 struct CliOptions {
   enum Flag : unsigned {
     kJobs = 1u << 0,     // --jobs N     | ARA_JOBS

@@ -16,6 +16,20 @@ endforeach()
 file(MAKE_DIRECTORY "${OUT_DIR}")
 set(report "${OUT_DIR}/BENCH_search.json")
 
+# A scale that is not a whole finite number > 0 is a usage error, before
+# anything simulates: no abort, no silently truncated value.
+foreach(bad inf 0.01abc)
+  execute_process(
+    COMMAND "${BENCH}" --space small --scale ${bad} --out "${report}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "--scale")
+    message(FATAL_ERROR "bench_search --scale ${bad} exited ${rc} "
+                        "(expected 2, naming --scale):\n${out}\n${err}")
+  endif()
+endforeach()
+
 execute_process(
   COMMAND "${BENCH}" --space small --scale 0.02 --out "${report}"
   RESULT_VARIABLE rc

@@ -155,6 +155,20 @@ TEST(CliOptions, ParseUnsignedChecksDigitsAndRange) {
   EXPECT_EQ(v, UINT64_MAX);
 }
 
+// Regression: ARA_BENCH_SCALE=abc, -1 or 0 used to run silently at the
+// default 0.5, and "0.01abc" ran at 0.01.
+TEST(CliOptions, ParseScaleRejectsMalformed) {
+  double v = 7;
+  for (const char* bad : {"", "abc", "0.5x", "0", "-1", "inf", "nan"}) {
+    EXPECT_FALSE(parse_scale(bad, &v)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(v, 7);  // untouched by a rejected value
+  ASSERT_TRUE(parse_scale("0.5", &v));
+  EXPECT_EQ(v, 0.5);
+  ASSERT_TRUE(parse_scale("1e-3", &v));
+  EXPECT_EQ(v, 1e-3);
+}
+
 TEST(CliOptions, MissingValueIsAnError) {
   Argv a({"--metrics"});
   const auto opts = CliOptions::parse(a.argc(), a.data(), kAll);

@@ -232,14 +232,11 @@ int main(int argc, char** argv) {
   }
   if (!search_bench.empty()) {
     double scale = 0.25;
-    if (!scale_text.empty()) {
-      char* end = nullptr;
-      scale = std::strtod(scale_text.c_str(), &end);
-      if (end == nullptr || *end != '\0' || !(scale > 0)) {
-        std::cerr << "--scale: expected a positive number, got '"
-                  << scale_text << "'\n";
-        return 2;
-      }
+    if (!scale_text.empty() &&
+        !ara::common::parse_scale(scale_text, &scale)) {
+      std::cerr << "--scale: scale must be finite and > 0, got '"
+                << scale_text << "'\n";
+      return 2;
     }
     std::ostringstream os;
     os << "{\"v\":" << serve::protocol::kProtocolVersion
