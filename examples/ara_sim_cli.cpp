@@ -42,8 +42,9 @@ void usage() {
       "  --offline N      take N islands offline mid-run capability demo\n"
       "  --scale F        invocation scale factor (default 0.25)\n"
       "  --csv            print the result as a CSV row\n"
+      << ara::common::CliOptions::help(ara::common::CliOptions::kMetrics)
+      << "                   (a FILE ending in .csv gets CSV instead)\n"
       << ara::common::CliOptions::help(ara::common::CliOptions::kTrace |
-                                       ara::common::CliOptions::kMetrics |
                                        ara::common::CliOptions::kCheck);
 }
 
@@ -65,9 +66,9 @@ int main(int argc, char** argv) {
   const std::string& metrics_file = cli.metrics_file;
 
   // Design-point knobs accumulate into a dse::PointSpec — the shared spec
-  // module whose defaults and to_config() the serve protocol and
-  // dse::search use too, so a CLI run of these flags is the same design
-  // point (and the same bits) as a served point of the same spec.
+  // module whose defaults and to_config() the serve protocol uses too, so
+  // a CLI run of these flags is the same design point (and the same bits)
+  // as a served point of the same spec.
   std::string bench = "Denoise";
   dse::PointSpec spec;
   double scale = 0.25;

@@ -167,8 +167,8 @@ std::string CliOptions::help(unsigned accept) {
   }
   if ((accept & kMetrics) != 0) {
     out +=
-        "  --metrics FILE   dump the stat registry (.csv -> CSV, else "
-        "JSON; env ARA_METRICS)\n";
+        "  --metrics FILE   dump the stat registry as JSON "
+        "(env ARA_METRICS)\n";
   }
   if ((accept & kTrace) != 0) {
     out +=

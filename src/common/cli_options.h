@@ -44,7 +44,8 @@ struct CliOptions {
 
   /// Worker threads for parallel sweeps; 0 = hardware concurrency.
   unsigned jobs = 0;
-  /// Stat-registry export path ("" = off; ".csv" selects CSV).
+  /// Stat-registry export path ("" = off). The front end picks the
+  /// format; only ara_sim writes CSV, for a path ending in ".csv".
   std::string metrics_file;
   /// Chrome-trace export path ("" = off).
   std::string trace_file;

@@ -1,21 +1,19 @@
 // dse::PointSpec — the one source of truth for "a design point named by
 // user-facing knobs" and for turning it into an ArchConfig.
 //
-// Three front ends name design points with the same eight knobs: the
-// ara_sim CLI flags, the ara_serve wire protocol's "points" objects, and
-// dse::SearchSpace's per-dimension bounds. Before this module each kept
-// its own copy of the knob->ArchConfig construction; PointSpec is the
-// single copy they all consume, so a new ArchConfig dimension is added
-// here once and every front end picks it up. The field defaults ARE the
-// product defaults (24-island 2-ring 32B ring design, 1x ports, no
-// sharing, composable mode, fifo GAM) — CLI help, protocol docs, and
-// search bounds all derive from these initializers.
+// Two front ends name design points with the same eight knobs: the ara_sim
+// CLI flags and the ara_serve wire protocol's "points" objects. Before
+// this module each kept its own copy of the knob->ArchConfig
+// construction; PointSpec is the single copy both consume, so a new
+// ArchConfig dimension is added here once and every front end picks it
+// up. The field defaults ARE the product defaults (24-island 2-ring 32B
+// ring design, 1x ports, no sharing, composable mode, fifo GAM) — CLI
+// help and protocol docs both derive from these initializers.
 //
 // to_config() builds the ArchConfig exactly the way the ara_sim flag
 // parser historically did (base ring_design, then per-knob overrides, in
-// flag order), so a served point, a searched point, and a CLI run of the
-// same spec are the same design point — and therefore, through dse::run,
-// the same bits.
+// flag order), so a served point and a CLI run of the same spec are the
+// same design point — and therefore, through dse::run, the same bits.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +43,10 @@ struct PointSpec {
   /// Canonical one-line name of the point, every knob spelled out in
   /// declaration order ("islands=24,net=ring,rings=2,width=32,ports=1,
   /// sharing=0,mono=0,policy=fifo"). Two specs are the same design point
-  /// iff their labels match; dse::search keys its dedup and tie-breaks
-  /// on this string.
+  /// iff their labels match. ara_analyze's protocol-drift analysis reads
+  /// the "key=" names here as the point dimensions the wire protocol
+  /// must parse, so a knob added to PointSpec but not to the protocol's
+  /// point parser is a finding.
   std::string label() const;
 };
 

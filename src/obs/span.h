@@ -30,14 +30,9 @@ enum class Phase : std::size_t {
   kSimulate = 2,     // executor time for this request's own misses
   kCoalesceWait = 3, // waiting on another request's in-flight leader
   kSerialize = 4,    // response encoding
-  // dse::search stages; a search charges each optimizer round here (its
-  // inner dse::run calls are untraced so no interval is double-counted).
-  kSample = 5,       // rung-0 sampled evaluations
-  kHalve = 6,        // successive-halving promotion rungs
-  kRefine = 7,       // local-refinement evaluations around the incumbent
 };
 
-inline constexpr std::size_t kNumPhases = 8;
+inline constexpr std::size_t kNumPhases = 5;
 
 inline const char* phase_name(Phase p) {
   switch (p) {
@@ -46,9 +41,6 @@ inline const char* phase_name(Phase p) {
     case Phase::kSimulate: return "simulate";
     case Phase::kCoalesceWait: return "coalesce_wait";
     case Phase::kSerialize: return "serialize";
-    case Phase::kSample: return "sample";
-    case Phase::kHalve: return "halve";
-    case Phase::kRefine: return "refine";
   }
   return "unknown";
 }

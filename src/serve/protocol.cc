@@ -131,80 +131,6 @@ bool parse_point(const obs::JsonValue& obj, PointSpec* out,
   return true;
 }
 
-// Search-space lists: present => non-empty, correctly typed, and bounded
-// (the space is a cross product; per-list caps keep it enumerable).
-constexpr std::size_t kMaxSpaceValues = 24;
-
-bool take_u32_list(const obs::JsonValue& obj, const char* name,
-                   std::vector<std::uint32_t>* out) {
-  const obs::JsonValue* v = obj.find(name);
-  if (v == nullptr) return true;
-  if (!v->is_array() || v->items.empty() ||
-      v->items.size() > kMaxSpaceValues) {
-    return false;
-  }
-  std::vector<std::uint32_t> vals;
-  for (const auto& item : v->items) {
-    std::uint64_t x = 0;
-    if (!number_to_u64(item, UINT32_MAX, &x)) return false;
-    vals.push_back(static_cast<std::uint32_t>(x));
-  }
-  *out = std::move(vals);
-  return true;
-}
-
-bool take_u64_list(const obs::JsonValue& obj, const char* name,
-                   std::vector<std::uint64_t>* out) {
-  const obs::JsonValue* v = obj.find(name);
-  if (v == nullptr) return true;
-  if (!v->is_array() || v->items.empty() ||
-      v->items.size() > kMaxSpaceValues) {
-    return false;
-  }
-  std::vector<std::uint64_t> vals;
-  for (const auto& item : v->items) {
-    std::uint64_t x = 0;
-    if (!number_to_u64(item, UINT64_MAX, &x)) return false;
-    vals.push_back(x);
-  }
-  *out = std::move(vals);
-  return true;
-}
-
-bool take_bool_list(const obs::JsonValue& obj, const char* name,
-                    std::vector<bool>* out) {
-  const obs::JsonValue* v = obj.find(name);
-  if (v == nullptr) return true;
-  if (!v->is_array() || v->items.empty() ||
-      v->items.size() > kMaxSpaceValues) {
-    return false;
-  }
-  std::vector<bool> vals;
-  for (const auto& item : v->items) {
-    if (item.kind != obs::JsonValue::Kind::kBool) return false;
-    vals.push_back(item.boolean);
-  }
-  *out = std::move(vals);
-  return true;
-}
-
-bool take_string_list(const obs::JsonValue& obj, const char* name,
-                      std::vector<std::string>* out) {
-  const obs::JsonValue* v = obj.find(name);
-  if (v == nullptr) return true;
-  if (!v->is_array() || v->items.empty() ||
-      v->items.size() > kMaxSpaceValues) {
-    return false;
-  }
-  std::vector<std::string> vals;
-  for (const auto& item : v->items) {
-    if (!item.is_string()) return false;
-    vals.push_back(item.text);
-  }
-  *out = std::move(vals);
-  return true;
-}
-
 // ------------------------------------------- registry body parsers
 // Each runs after the envelope (v / type / client) is validated; the
 // registry row picked by "type" selects which one.
@@ -246,64 +172,6 @@ bool parse_sweep_body(const obs::JsonValue& root, Request* out,
     if (!parse_point(item, &spec, error)) return false;
     out->points.push_back(std::move(spec));
   }
-  return true;
-}
-
-bool parse_search_body(const obs::JsonValue& root, Request* out,
-                       std::string* error) {
-  dse::SearchSpec spec;
-  if (!take_string(root, "workload", &spec.workload) ||
-      spec.workload.empty()) {
-    *error = "search request needs a string \"workload\"";
-    return false;
-  }
-  if (!take_double(root, "scale", &spec.scale) || spec.scale <= 0) {
-    *error = "\"scale\" must be a positive number";
-    return false;
-  }
-  std::string objective = dse::objective_name(spec.objective);
-  if (!take_string(root, "objective", &objective) ||
-      !dse::objective_from_name(objective, &spec.objective)) {
-    *error =
-        "\"objective\" must be one of perf|perf_per_energy|perf_per_area";
-    return false;
-  }
-  if (!take_u64(root, "budget", &spec.budget) || spec.budget == 0) {
-    *error = "\"budget\" must be a positive integer";
-    return false;
-  }
-  if (spec.budget > 4096) {
-    *error = "\"budget\" is limited to 4096 evaluations per request";
-    return false;
-  }
-  if (!take_u64(root, "seed", &spec.seed)) {
-    *error = "\"seed\" must be an unsigned integer";
-    return false;
-  }
-  const obs::JsonValue* space = root.find("space");
-  if (space != nullptr) {
-    if (!space->is_object()) {
-      *error = "\"space\" must be an object of per-dimension value lists";
-      return false;
-    }
-    const bool ok = take_u32_list(*space, "islands", &spec.space.islands) &&
-                    take_string_list(*space, "nets", &spec.space.nets) &&
-                    take_u32_list(*space, "rings", &spec.space.rings) &&
-                    take_u64_list(*space, "widths", &spec.space.widths) &&
-                    take_u32_list(*space, "ports", &spec.space.ports) &&
-                    take_bool_list(*space, "sharing", &spec.space.sharing) &&
-                    take_bool_list(*space, "mono", &spec.space.mono) &&
-                    take_string_list(*space, "policies",
-                                     &spec.space.policies);
-    if (!ok) {
-      *error = "search space list has the wrong JSON type, is empty, or "
-               "exceeds 24 entries";
-      return false;
-    }
-  }
-  out->workload = spec.workload;
-  out->scale = spec.scale;
-  out->search = std::move(spec);
   return true;
 }
 
@@ -361,7 +229,6 @@ const std::vector<RequestTypeInfo>& request_registry() {
   // validator all walk this one table.
   static const std::vector<RequestTypeInfo> kRegistry = {
       {"ping", Request::Kind::kPing, &parse_empty_body},
-      {"search", Request::Kind::kSearch, &parse_search_body},
       {"stats", Request::Kind::kStats, &parse_empty_body},
       {"sweep", Request::Kind::kSweep, &parse_sweep_body},
   };
@@ -483,20 +350,6 @@ std::string sweep_response(const std::vector<dse::SweepResult>& results,
   }
   out += "]}";
   return out;
-}
-
-std::string search_response(const dse::SearchResult& result,
-                            std::uint64_t trace_id) {
-  std::ostringstream os;
-  os << "{\"type\":\"search_result\",";
-  // 0 = untraced (direct protocol users); the server always mints one.
-  if (trace_id != 0) os << "\"trace_id\":" << trace_id << ",";
-  os << "\"simulated\":" << result.simulated
-     << ",\"cache_hits\":" << result.cache_hits
-     << ",\"coalesced\":" << result.coalesced << ",\"wall_seconds\":";
-  obs::json_number(os, result.wall_seconds, 17);
-  os << ",\"result\":" << dse::search_result_json(result) << "}";
-  return os.str();
 }
 
 }  // namespace ara::serve::protocol

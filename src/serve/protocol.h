@@ -19,15 +19,11 @@
 //   {"type":"sweep", "client":"alice", "workload":"Denoise",
 //    "scale":0.05, "points":[{"islands":6,"net":"ring","rings":2,
 //    "width":32,"ports":1,"sharing":false,"mono":false,"policy":"fifo"}]}
-//   {"type":"search", "client":"alice", "workload":"Denoise",
-//    "scale":0.05, "objective":"perf", "budget":12, "seed":7,
-//    "space":{"islands":[3,6,12,24],"rings":[1,2,3],"widths":[16,32]}}
 //
 // Every point field is optional; the defaults are dse::PointSpec's (the
 // shared spec module — they mirror the ara_sim CLI: 24-island 2-ring 32B
 // design, fifo GAM, no sharing, 1x ports). "points" itself defaults to
-// one default point, "client" (the fairness bucket) to "anon". Search
-// "space" lists default to dse::SearchSpace's per-dimension defaults.
+// one default point, "client" (the fairness bucket) to "anon".
 // PointSpec::to_config builds the ArchConfig exactly the way ara_sim's
 // flag parser does, so a served point and a CLI run of the same spec are
 // the same design point — and therefore, through dse::run, the same bits.
@@ -37,19 +33,15 @@
 //   {"type":"stats","metrics":{...obs::MetricsExporter JSON...}}
 //   {"type":"sweep_result","trace_id":N,"points":[{"from_cache":B,
 //    "coalesced":B,"wall_seconds":S,"entry":{...}}]}
-//   {"type":"search_result","trace_id":N,"simulated":K,"cache_hits":H,
-//    "coalesced":C,"wall_seconds":S,"result":{...search_result_json...}}
 //   {"type":"error","code":"bad_request|overloaded|draining|failed",
 //    "message":"...","trace_id":N}
 //
 // Each sweep point's "entry" object is byte-for-byte the on-disk
 // ResultCache entry format (dse::ResultCache::to_json): deterministic
-// fields only, 17-significant-digit doubles, embedded key + salt. A
-// search's "result" object is dse::search_result_json — deterministic for
-// a given (seed, space, budget); the sibling fields carry the
-// warmth-dependent telemetry. Identical requests therefore produce
-// byte-identical "entry"/"result" objects whether served fresh, from
-// cache, or by coalescing — the serving contract the smoke test pins.
+// fields only, 17-significant-digit doubles, embedded key + salt; the
+// sibling fields carry the warmth-dependent telemetry. Identical requests
+// therefore produce byte-identical "entry" objects whether served fresh,
+// from cache, or by coalescing — the serving contract the smoke test pins.
 // "trace_id" on an error frame is present whenever the server minted a
 // trace at admission (i.e. the request parsed), so failures join against
 // the --log JSONL exactly like successes. A sweep whose response frame
@@ -64,7 +56,6 @@
 #include <vector>
 
 #include "core/arch_config.h"
-#include "dse/search.h"
 #include "dse/spec.h"
 #include "dse/sweep.h"
 #include "obs/metrics_export.h"
@@ -101,16 +92,15 @@ int connect_unix(const std::string& path);
 using PointSpec = dse::PointSpec;
 
 struct Request {
-  enum class Kind { kPing, kStats, kSweep, kSearch };
+  enum class Kind { kPing, kStats, kSweep };
   Kind kind = Kind::kPing;
   /// Envelope version the frame declared (or defaulted to).
   std::uint32_t v = kProtocolVersion;
   /// Fairness bucket for per-client round-robin scheduling.
   std::string client = "anon";
-  std::string workload;  // benchmark name (sweep/search)
-  double scale = 0.25;   // invocation scale factor (sweep/search)
+  std::string workload;  // benchmark name (sweep only)
+  double scale = 0.25;   // invocation scale factor (sweep only)
   std::vector<PointSpec> points;  // sweep only
-  dse::SearchSpec search;         // search only
 };
 
 /// One row of the request-type registry: the wire name, the parsed kind,
@@ -128,7 +118,7 @@ struct RequestTypeInfo {
 /// The registry, sorted by name.
 const std::vector<RequestTypeInfo>& request_registry();
 
-/// "ping|search|stats|sweep" — for error messages and client help.
+/// "ping|stats|sweep" — for error messages and client help.
 std::string supported_types();
 
 /// Parse one request frame through the registry. False (with *error
@@ -153,9 +143,5 @@ std::string stats_response(const obs::MetricsSnapshot& snapshot);
 /// bit-identity contract covers entries, not envelope).
 std::string sweep_response(const std::vector<dse::SweepResult>& results,
                            std::uint64_t salt, std::uint64_t trace_id = 0);
-/// Search response: warmth telemetry in the envelope, the deterministic
-/// dse::search_result_json block under "result".
-std::string search_response(const dse::SearchResult& result,
-                            std::uint64_t trace_id = 0);
 
 }  // namespace ara::serve::protocol

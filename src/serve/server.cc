@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/config_error.h"
-#include "dse/search.h"
 #include "dse/sweep.h"
 #include "workloads/registry.h"
 
@@ -49,7 +48,6 @@ std::string Server::handle(const protocol::Request& request) {
     case protocol::Request::Kind::kStats:
       return protocol::stats_response(stats_snapshot());
     case protocol::Request::Kind::kSweep:
-    case protocol::Request::Kind::kSearch:
       break;
   }
 
@@ -60,11 +58,7 @@ std::string Server::handle(const protocol::Request& request) {
   trace.clock = clock_;
   trace.client = request.client;
   trace.workload = request.workload;
-  // For a search, "points" is the evaluation budget — the work the
-  // request may admit, the same resource a sweep's point count names.
-  trace.points = request.kind == protocol::Request::Kind::kSearch
-                     ? request.search.budget
-                     : request.points.size();
+  trace.points = request.points.size();
   trace.start_ns = clock_->now_ns();
 
   Work work;
@@ -125,10 +119,7 @@ void Server::handler_loop() {
     work->trace->add_phase(obs::Phase::kQueued,
                            clock_->now_ns() - work->enqueued_ns);
     // Simulate with no lock held: only the queue hand-off is serialized.
-    std::string response =
-        work->request->kind == protocol::Request::Kind::kSearch
-            ? execute_search(*work->request, work->trace)
-            : execute_sweep(*work->request, work->trace);
+    std::string response = execute_sweep(*work->request, work->trace);
     {
       common::MutexLock lock(mu_);
       work->response = std::move(response);
@@ -205,45 +196,6 @@ std::string Server::execute_sweep(const protocol::Request& request,
       trace->failed += trace->misses;
       trace->misses = 0;
     }
-    common::MutexLock lock(mu_);
-    stats_.counter("serve.server.errors").inc();
-    return protocol::error_response("failed", e.what(),
-                                    trace != nullptr ? trace->id : 0);
-  }
-}
-
-std::string Server::execute_search(const protocol::Request& request,
-                                   obs::RequestTrace* trace) {
-  try {
-    dse::SearchRequest sr;
-    sr.spec = request.search;
-    sr.jobs = opts_.jobs;
-    sr.cache = &cache_;
-    sr.coalescer = &coalescer_;
-    sr.trace = trace;
-    const dse::SearchResult result = dse::search(sr);
-
-    {
-      common::MutexLock lock(mu_);
-      stats_.counter("serve.search.requests").inc();
-      stats_.counter("serve.search.evaluated").inc(result.evaluated);
-      stats_.counter("serve.search.simulated").inc(result.simulated);
-      stats_.counter("serve.search.cache_hits").inc(result.cache_hits);
-      stats_.counter("serve.search.coalesced").inc(result.coalesced);
-      stats_.counter("serve.search.frontier_points")
-          .inc(result.frontier.size());
-    }
-    obs::ScopedSpan serialize_span(trace, obs::Phase::kSerialize);
-    return protocol::search_response(result,
-                                     trace != nullptr ? trace->id : 0);
-  } catch (const ConfigError& e) {
-    if (trace != nullptr) trace->error = "bad_request";
-    common::MutexLock lock(mu_);
-    stats_.counter("serve.server.errors").inc();
-    return protocol::error_response("bad_request", e.what(),
-                                    trace != nullptr ? trace->id : 0);
-  } catch (const std::exception& e) {
-    if (trace != nullptr) trace->error = "failed";
     common::MutexLock lock(mu_);
     stats_.counter("serve.server.errors").inc();
     return protocol::error_response("failed", e.what(),

@@ -158,8 +158,8 @@ class Server {
   void start();
 
   /// Handle one request synchronously: ping/stats answer inline; sweeps
-  /// and searches go through admission control and block until a handler
-  /// finishes them. Always returns a well-formed response frame payload.
+  /// go through admission control and block until a handler finishes
+  /// them. Always returns a well-formed response frame payload.
   std::string handle(const protocol::Request& request)
       ARA_EXCLUDES(mu_);
 
@@ -210,8 +210,6 @@ class Server {
 
   std::string execute_sweep(const protocol::Request& request,
                             obs::RequestTrace* trace) ARA_EXCLUDES(mu_);
-  std::string execute_search(const protocol::Request& request,
-                             obs::RequestTrace* trace) ARA_EXCLUDES(mu_);
   void handler_loop() ARA_EXCLUDES(mu_);
   void session(int fd, std::uint64_t id);
   void reap_sessions();

@@ -1,5 +1,6 @@
 // Tests for the runtime: ABC composition, chaining, sharing constraint,
-// fallback spilling, monolithic (ARC) mode, and the GAM.
+// fallback spilling, monolithic (ARC) mode, the GAM and its admission
+// policies.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,11 +9,13 @@
 #include "abc/abc.h"
 #include "abc/gam.h"
 #include "common/config_error.h"
+#include "core/system.h"
 #include "dataflow/dfg.h"
 #include "island/island.h"
 #include "mem/memory_system.h"
 #include "noc/mesh.h"
 #include "sim/event_queue.h"
+#include "workloads/registry.h"
 
 namespace ara::abc {
 namespace {
@@ -308,6 +311,44 @@ TEST_F(GamTest, AdmissionWindowQueuesExcess) {
   EXPECT_EQ(completed, 3);
   EXPECT_EQ(gam_->queued_requests(), 2u);
   EXPECT_GE(gam_->mean_wait_estimate(), 0.0);
+}
+
+// ---- GAM policies ----
+
+TEST(GamPolicy, NamesStable) {
+  EXPECT_STREQ(abc::gam_policy_name(abc::GamPolicy::kFifo), "fifo");
+  EXPECT_STREQ(abc::gam_policy_name(abc::GamPolicy::kShortestFirst),
+               "shortest-first");
+  EXPECT_STREQ(abc::gam_policy_name(abc::GamPolicy::kLargestFirst),
+               "largest-first");
+}
+
+TEST(GamPolicy, AllPoliciesCompleteAllJobs) {
+  for (auto policy : {abc::GamPolicy::kFifo, abc::GamPolicy::kShortestFirst,
+                      abc::GamPolicy::kLargestFirst}) {
+    core::ArchConfig cfg = core::ArchConfig::best_config();
+    cfg.gam_policy = policy;
+    cfg.max_jobs_in_flight = 2;  // force queueing so ordering matters
+    core::System sys(cfg);
+    auto w = workloads::make_benchmark("Denoise", 0.05);
+    const auto r = sys.run(w);
+    EXPECT_EQ(r.jobs, w.invocations) << abc::gam_policy_name(policy);
+  }
+}
+
+TEST(GamPolicy, PolicyChangesAdmissionOrderDeterministically) {
+  // With identical jobs the policies coincide; verify determinism per
+  // policy (same makespan run to run).
+  for (auto policy :
+       {abc::GamPolicy::kShortestFirst, abc::GamPolicy::kLargestFirst}) {
+    core::ArchConfig cfg = core::ArchConfig::best_config();
+    cfg.gam_policy = policy;
+    cfg.max_jobs_in_flight = 2;
+    auto w = workloads::make_benchmark("Deblur", 0.05);
+    core::System a(cfg);
+    core::System b(cfg);
+    EXPECT_EQ(a.run(w).makespan, b.run(w).makespan);
+  }
 }
 
 }  // namespace

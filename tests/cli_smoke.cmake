@@ -1,12 +1,15 @@
 # Smoke test for the observability exporters and the on-disk result cache:
-# check that malformed arguments are usage errors, run ara_sim with --trace
-# and --metrics on a small config, validate every produced file with the
+# check that malformed arguments are usage errors (ara_sim,
+# design_space_explorer and ara_serve_client) and that --help describes
+# each front end's --metrics format, run ara_sim with --trace and
+# --metrics on a small config, validate every produced file with the
 # strict JSON checker (ara_json_check, no external deps), then exercise
 # design_space_explorer's --cache directory — cold write, warm re-read, and
 # corrupt-file tolerance. Invoked by ctest as:
 #   cmake -DCLI=<ara_sim> -DDSE=<design_space_explorer>
-#         -DCHECK=<ara_json_check> -DOUT_DIR=<dir> -P cli_smoke.cmake
-foreach(var CLI DSE CHECK OUT_DIR)
+#         -DCLIENT=<ara_serve_client> -DCHECK=<ara_json_check>
+#         -DOUT_DIR=<dir> -P cli_smoke.cmake
+foreach(var CLI DSE CLIENT CHECK OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_smoke.cmake requires -D${var}=...")
   endif()
@@ -36,6 +39,38 @@ expect_usage_error("--scale" "${CLI}" --scale x)
 expect_usage_error("scale must be finite" "${CLI}" --scale -1)
 expect_usage_error("unknown benchmark 'Nonesuch'" "${DSE}" Nonesuch)
 expect_usage_error("--jobs" "${DSE}" --jobs 4294967297)
+# The client checks its flags before it connects: each of these would
+# otherwise fail to reach the socket and exit 1.
+set(no_socket "${OUT_DIR}/no-such-daemon.sock")
+expect_usage_error("--scale" "${CLIENT}" --socket "${no_socket}" --scale abc)
+expect_usage_error("--scale only applies to --sweep"
+  "${CLIENT}" --socket "${no_socket}" --scale 0.5)
+expect_usage_error("unknown option '--search'"
+  "${CLIENT}" --socket "${no_socket}" --search Denoise)
+
+# --metrics writes CSV for a .csv path only in ara_sim;
+# design_space_explorer always writes labeled JSON, and each --help says
+# which.
+function(expect_help binary want_csv)
+  execute_process(
+    COMMAND "${binary}" --help
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0 OR NOT out MATCHES "--metrics FILE")
+    message(FATAL_ERROR "${binary} --help failed or lists no --metrics "
+                        "(${rc}):\n${out}\n${err}")
+  endif()
+  if(want_csv AND NOT out MATCHES "\\.csv")
+    message(FATAL_ERROR "${binary} --help does not say a .csv path gets "
+                        "CSV:\n${out}")
+  elseif(NOT want_csv AND out MATCHES "\\.csv")
+    message(FATAL_ERROR "${binary} --help promises CSV output it never "
+                        "writes:\n${out}")
+  endif()
+endfunction()
+expect_help("${CLI}" TRUE)
+expect_help("${DSE}" FALSE)
 
 file(MAKE_DIRECTORY "${OUT_DIR}")
 set(trace_file "${OUT_DIR}/smoke_trace.json")

@@ -1,8 +1,11 @@
-// Tests for the DSE harness: named config points, sweep driver, tables.
+// Tests for the DSE harness: named config points, dse::run, tables, the
+// system report and CSV export.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "core/system.h"
+#include "dse/report.h"
 #include "dse/sweep.h"
 #include "dse/table.h"
 #include "workloads/registry.h"
@@ -76,6 +79,38 @@ TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(2.0, 0), "2");
   EXPECT_EQ(Table::pct(0.185), "18.5%");
+}
+
+// ---- report ----
+
+TEST(SystemReport, AggregatesAndPrints) {
+  core::System sys(core::ArchConfig::ring_design(6, 2, 32));
+  auto w = workloads::make_benchmark("Segmentation", 0.1);
+  const auto result = sys.run(w);
+  dse::SystemReport report(sys, result);
+
+  EXPECT_GT(report.mean_island_ni_utilization(), 0.0);
+  EXPECT_GT(report.mean_dma_utilization(), 0.0);
+  EXPECT_GT(report.mean_mc_utilization(), 0.0);
+  EXPECT_GE(report.mean_tlb_hit_rate(), 0.0);
+
+  std::ostringstream os;
+  report.print(os);
+  const std::string out = os.str();
+  EXPECT_NE(out.find("per-island utilization"), std::string::npos);
+  EXPECT_NE(out.find("GAM:"), std::string::npos);
+  EXPECT_NE(out.find("NoC peak link utilization"), std::string::npos);
+}
+
+// ---- CSV ----
+
+TEST(TableCsv, EscapesCommasAndFormats) {
+  dse::Table t({"name", "value"});
+  t.add_row({"plain", "1"});
+  t.add_row({"with,comma", "2"});
+  std::ostringstream os;
+  t.print_csv(os);
+  EXPECT_EQ(os.str(), "name,value\nplain,1\n\"with,comma\",2\n");
 }
 
 }  // namespace

@@ -61,6 +61,17 @@ expect_exit(1 "cannot write metrics to"
 if(NOT out MATCHES "Reproduction of Figure 1")
   message(FATAL_ERROR "fig01 printed no table before failing:\n${out}")
 endif()
+# --help lists the flags; --metrics writes labeled JSON whatever the path,
+# so the help names no CSV mode.
+execute_process(
+  COMMAND "${PAPER}" --help
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "--metrics FILE" OR out MATCHES "\\.csv")
+  message(FATAL_ERROR "ara_paper --help must list --metrics as JSON only, "
+                      "got ${rc}:\n${out}\n${err}")
+endif()
 
 # --- the run ---------------------------------------------------------------
 set(ENV{ARA_BENCH_SCALE} 0.5)

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "obs/clock.h"
 #include "obs/json_check.h"
@@ -185,17 +186,19 @@ TEST(RequestLog, FormatLineIsStrictJsonWithExactDurations) {
   EXPECT_EQ(parsed.find("trace_id")->as_u64(), 7u);
   EXPECT_EQ(parsed.find("client")->text, "bench \"a\"");
   EXPECT_EQ(parsed.find("total_ns")->as_u64(), 5000000u);
-  // Integer-exact per-phase durations under the schema's stable keys, and
-  // their sum stays within the request total (phases are disjoint
-  // sub-intervals of it).
+  // Integer-exact per-phase durations under the schema's stable keys,
+  // exactly the five phases a sweep passes through, in order, and their
+  // sum stays within the request total (phases are disjoint sub-intervals
+  // of it).
   const JsonValue* phases = parsed.find("phases_ns");
   ASSERT_NE(phases, nullptr);
+  const std::vector<std::string> keys = {"queued", "cache_lookup", "simulate",
+                                         "coalesce_wait", "serialize"};
+  ASSERT_EQ(phases->members.size(), keys.size()) << line;
   std::uint64_t sum = 0;
-  for (const char* key :
-       {"queued", "cache_lookup", "simulate", "coalesce_wait", "serialize"}) {
-    const JsonValue* v = phases->find(key);
-    ASSERT_NE(v, nullptr) << key;
-    sum += v->as_u64();
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(phases->members[i].first, keys[i]);
+    sum += phases->members[i].second.as_u64();
   }
   EXPECT_EQ(sum, t.phase_total_ns());
   EXPECT_LE(sum, t.total_ns);

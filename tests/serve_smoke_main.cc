@@ -15,14 +15,13 @@
 //                       window shows non-zero request rates and latency
 //                       quantiles while traffic flows;
 //   6. envelope       — {"v":1,...} frames are served, {"v":2,...} and
-//                       unknown types get typed bad_request errors that
-//                       list the supported versions/types (byte-compat:
-//                       version-less PR-6/7 frames keep working);
-//   7. served search  — a search request returns a search_result whose
-//                       deterministic "result" block is byte-identical on
-//                       rerun, reuses the sweep traffic's cache warmth
-//                       (cache_hits > 0), and an overlapping follow-up
-//                       search only simulates its new points;
+//                       unknown types ("teapot", "search") get typed
+//                       bad_request errors that list the supported
+//                       versions/types (byte-compat: version-less PR-6/7
+//                       frames keep working);
+//   7. client sweep   — ara_serve_client --sweep builds a one-point sweep
+//                       whose entry object is byte-identical to the one
+//                       the smoke's own frame for that point gets;
 //   8. error tracing  — a bad_request error frame carries the trace_id
 //                       minted at admission, and that id joins against
 //                       the --log JSONL line recording the failure;
@@ -35,9 +34,9 @@
 //                       carrying a trace id and per-phase durations that
 //                       sum to within the request's total;
 //  12. purity         — a daemon without --log (and with --jobs 1) serves
-//                       entry objects and search result blocks
-//                       byte-identical to the logged --jobs 2 daemon's
-//                       (tracing and worker counts never perturb results).
+//                       entry objects byte-identical to the logged
+//                       --jobs 2 daemon's (tracing and worker counts never
+//                       perturb results).
 //
 // Standalone binary (not gtest): it forks/execs and signals real
 // processes, which is cleaner outside the gtest harness. Any failure
@@ -99,6 +98,36 @@ pid_t spawn_server(const std::string& binary, const std::string& socket_path,
     ::_exit(127);
   }
   return pid;
+}
+
+/// Run `args` (binary first) to completion with its stdout captured;
+/// false unless it exits 0.
+bool run_capture(std::vector<std::string> args, std::string* out) {
+  std::vector<char*> argv;
+  argv.reserve(args.size() + 1);
+  for (auto& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  int pipe_fds[2];
+  if (::pipe(pipe_fds) != 0) return false;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::dup2(pipe_fds[1], STDOUT_FILENO);
+    ::close(pipe_fds[0]);
+    ::close(pipe_fds[1]);
+    ::execv(argv[0], argv.data());
+    std::perror("execv");
+    ::_exit(127);
+  }
+  ::close(pipe_fds[1]);
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::read(pipe_fds[0], buf, sizeof buf)) > 0) {
+    out->append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(pipe_fds[0]);
+  int status = 0;
+  if (pid < 0 || ::waitpid(pid, &status, 0) != pid) return false;
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
 }
 
 /// Connect with retries while the daemon starts up (~seconds budget).
@@ -191,14 +220,18 @@ bool dir_has_entries(const std::string& dir) {
 
 int main(int argc, char** argv) {
   std::string server_binary;
+  std::string client_binary;
   std::string out_dir = ".";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--server" && i + 1 < argc) server_binary = argv[++i];
+    if (arg == "--client" && i + 1 < argc) client_binary = argv[++i];
     if (arg == "--dir" && i + 1 < argc) out_dir = argv[++i];
   }
-  if (server_binary.empty()) {
-    std::fprintf(stderr, "usage: %s --server PATH_TO_ara_serve --dir DIR\n",
+  if (server_binary.empty() || client_binary.empty()) {
+    std::fprintf(stderr,
+                 "usage: %s --server PATH_TO_ara_serve "
+                 "--client PATH_TO_ara_serve_client --dir DIR\n",
                  argv[0]);
     return 2;
   }
@@ -353,41 +386,38 @@ int main(int argc, char** argv) {
             versioned.find("unsupported protocol version '2'") !=
                 std::string::npos,
         "v:2 frame gets a typed error naming the unsupported version");
-  check(round_trip(fd, "{\"type\":\"teapot\"}", &versioned) &&
-            versioned.find("\"code\":\"bad_request\"") !=
-                std::string::npos &&
-            versioned.find("ping|search|stats|sweep") != std::string::npos,
-        "unknown type error lists the supported request registry");
+  for (const char* type : {"teapot", "search"}) {
+    check(round_trip(fd, std::string("{\"type\":\"") + type + "\"}",
+                     &versioned) &&
+              versioned.find("\"code\":\"bad_request\"") !=
+                  std::string::npos &&
+              versioned.find("ping|stats|sweep") != std::string::npos,
+          std::string("unknown type '") + type +
+              "' gets an error listing the supported request registry");
+  }
 
-  // ---- 7. served search ----
-  // Byte-extract the first balanced JSON object following `tag`.
-  const auto extract_object = [](const std::string& s,
-                                 const std::string& tag) -> std::string {
-    std::size_t pos = s.find(tag);
-    if (pos == std::string::npos) return "";
-    std::size_t i = pos + tag.size();
-    const std::size_t start = i;
-    int depth = 0;
-    bool in_string = false;
-    for (; i < s.size(); ++i) {
-      const char c = s[i];
-      if (in_string) {
-        if (c == '\\') {
-          ++i;
-        } else if (c == '"') {
-          in_string = false;
-        }
-      } else if (c == '"') {
-        in_string = true;
-      } else if (c == '{') {
-        ++depth;
-      } else if (c == '}' && --depth == 0) {
-        ++i;
-        break;
-      }
-    }
-    return s.substr(start, i - start);
-  };
+  // ---- 7. the client's built-in sweep ----
+  // ara_serve_client --sweep builds its own frame for one default point;
+  // it must name the same design point as a hand-written frame for that
+  // workload and scale, down to the entry bytes.
+  std::string via_client;
+  check(run_capture({client_binary, "--socket", socket_path, "--sweep",
+                     "Denoise", "--scale", "0.02"},
+                    &via_client) &&
+            via_client.find("\"type\":\"sweep_result\"") !=
+                std::string::npos,
+        "ara_serve_client --sweep Denoise --scale 0.02 gets a sweep_result");
+  std::string own_frame;
+  check(round_trip(fd,
+                   "{\"type\":\"sweep\",\"client\":\"alice\","
+                   "\"workload\":\"Denoise\",\"scale\":0.02}",
+                   &own_frame),
+        "the smoke's own one-point Denoise sweep at scale 0.02 succeeds");
+  check(extract_entries(via_client).size() == 1 &&
+            extract_entries(via_client) == extract_entries(own_frame),
+        "the client's one entry is byte-identical to the smoke's own");
+
+  // ---- 8. error frames join the request log via trace_id ----
   const auto response_u64 = [](const std::string& s, const char* key,
                                std::uint64_t* out) {
     ara::obs::JsonValue parsed;
@@ -397,61 +427,6 @@ int main(int argc, char** argv) {
     *out = v->as_u64();
     return true;
   };
-  // A 4-point space (islands x rings at width 16) that overlaps the
-  // sweep traffic above: (3,1,16) and (6,1,16) are already cached, so
-  // even this first search must report cache hits.
-  const std::string search_req =
-      "{\"v\":1,\"type\":\"search\",\"client\":\"alice\","
-      "\"workload\":\"Denoise\",\"scale\":0.03,\"budget\":4,\"seed\":5,"
-      "\"space\":{\"islands\":[3,6],\"rings\":[1,2],\"widths\":[16],"
-      "\"ports\":[1],\"sharing\":[false]}}";
-  std::string search_cold;
-  check(round_trip(fd, search_req, &search_cold) &&
-            search_cold.find("\"type\":\"search_result\"") !=
-                std::string::npos,
-        "search request returns a search_result");
-  const std::string result_cold = extract_object(search_cold, "\"result\":");
-  std::uint64_t search_hits = 0;
-  std::uint64_t search_sims = 0;
-  check(response_u64(search_cold, "cache_hits", &search_hits) &&
-            search_hits > 0,
-        "first search reuses the sweep traffic's cache warmth (saw " +
-            std::to_string(search_hits) + " hits)");
-  check(response_u64(search_cold, "simulated", &search_sims) &&
-            search_hits + search_sims == 4,
-        "search evaluations are accounted as hits or simulations");
-
-  std::string search_warm;
-  check(round_trip(fd, search_req, &search_warm) &&
-            extract_object(search_warm, "\"result\":") == result_cold &&
-            !result_cold.empty(),
-        "rerun search result block is byte-identical");
-  std::uint64_t warm_sims = 1;
-  check(response_u64(search_warm, "simulated", &warm_sims) && warm_sims == 0,
-        "rerun search simulated nothing (saw " + std::to_string(warm_sims) +
-            ")");
-
-  // Overlapping follow-up: a strict superset space (rings 1-3) may only
-  // simulate the two new ring-3 points.
-  const std::string search_wide =
-      "{\"v\":1,\"type\":\"search\",\"client\":\"alice\","
-      "\"workload\":\"Denoise\",\"scale\":0.03,\"budget\":6,\"seed\":5,"
-      "\"space\":{\"islands\":[3,6],\"rings\":[1,2,3],\"widths\":[16],"
-      "\"ports\":[1],\"sharing\":[false]}}";
-  std::string search_overlap;
-  std::uint64_t overlap_sims = 0;
-  std::uint64_t overlap_hits = 0;
-  check(round_trip(fd, search_wide, &search_overlap) &&
-            response_u64(search_overlap, "simulated", &overlap_sims) &&
-            response_u64(search_overlap, "cache_hits", &overlap_hits) &&
-            overlap_sims == 2 && overlap_hits == 4,
-        "overlapping search only simulates its 2 new points (saw " +
-            std::to_string(overlap_sims) + " sims, " +
-            std::to_string(overlap_hits) + " hits)");
-  check(stat_counter(socket_path, "serve.search.requests") == 3,
-        "serve.search.requests counted all three searches");
-
-  // ---- 8. error frames join the request log via trace_id ----
   std::string bad_sweep_response;
   std::uint64_t error_trace_id = 0;
   check(round_trip(fd,
@@ -507,8 +482,8 @@ int main(int argc, char** argv) {
 
   // ---- 11. JSONL request log ----
   // The daemon has exited, so the log is complete: cold + warm + 4
-  // concurrent + 3 searches + bad-workload error + drain sweep = 11
-  // lines, each a strict RFC 8259 JSON object carrying a trace id and
+  // concurrent + 2 one-point sweeps + bad-workload error + drain sweep =
+  // 10 lines, each a strict RFC 8259 JSON object carrying a trace id and
   // per-phase durations bounded by the request total.
   {
     std::ifstream in(log_path);
@@ -564,8 +539,8 @@ int main(int argc, char** argv) {
         error_line_joined = true;
       }
     }
-    check(lines == 11, "request log holds one line per queued request "
-                       "(saw " + std::to_string(lines) + ", want 11)");
+    check(lines == 10, "request log holds one line per queued request "
+                       "(saw " + std::to_string(lines) + ", want 10)");
     check(error_line_joined,
           "the error frame's trace_id joins a bad_request log line");
     check(all_valid, "every request-log line is strict RFC 8259 JSON with "
@@ -581,10 +556,9 @@ int main(int argc, char** argv) {
   // ---- 12. tracing/logging/jobs never perturb results ----
   // A fresh daemon with no --log, a cold in-memory cache, and --jobs 1
   // (last flag wins over spawn_server's default --jobs 2) must serve the
-  // same sweep with byte-identical entry objects and the same search
-  // with a byte-identical deterministic "result" block: the tracing and
-  // logging layers observe the pipeline, and the worker count only
-  // changes how fast evaluations run, never which ones or their bits.
+  // same sweep with byte-identical entry objects: the tracing and logging
+  // layers observe the pipeline, and the worker count only changes how
+  // fast points run, never their bits.
   const std::string socket3 = out_dir + "/ara_serve_nolog.sock";
   const pid_t server3 =
       spawn_server(server_binary, socket3, "", "8", {"--jobs", "1"});
@@ -597,12 +571,6 @@ int main(int argc, char** argv) {
   check(!extract_entries(cold).empty() &&
             extract_entries(unlogged) == extract_entries(cold),
         "entries are byte-identical with and without request logging");
-  std::string unlogged_search;
-  check(fd3 >= 0 && round_trip(fd3, search_req, &unlogged_search) &&
-            extract_object(unlogged_search, "\"result\":") == result_cold &&
-            !result_cold.empty(),
-        "search result block is byte-identical across --jobs 1/2 and "
-        "cold/warm caches");
 
   if (fd3 >= 0) ::close(fd3);
   ::kill(server3, SIGTERM);

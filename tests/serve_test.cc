@@ -22,7 +22,6 @@
 #include "core/config_digest.h"
 #include "dse/coalesce.h"
 #include "dse/result_cache.h"
-#include "dse/search.h"
 #include "dse/sweep.h"
 #include "obs/clock.h"
 #include "obs/json_check.h"
@@ -251,27 +250,14 @@ TEST(Protocol, RejectsOutOfRangeAndNonIntegralPointFields) {
 TEST(Protocol, IgnoresRetiredShardsField) {
   // The parsed fields the bodies below set, in one comparable list.
   auto fields = [](const Request& r) {
-    const dse::SearchSpec& s = r.search;
-    std::vector<std::string> out = {
-        r.workload, std::to_string(r.scale), s.workload,
-        std::to_string(s.scale), dse::objective_name(s.objective),
-        std::to_string(s.budget), std::to_string(s.seed),
-        std::to_string(s.space.size())};
+    std::vector<std::string> out = {r.workload, std::to_string(r.scale)};
     for (const auto& p : r.points) out.push_back(p.label());
-    for (const auto& v : {s.space.islands, s.space.rings, s.space.ports}) {
-      for (const std::uint32_t x : v) out.push_back(std::to_string(x));
-    }
-    for (const std::uint64_t w : s.space.widths) {
-      out.push_back(std::to_string(w));
-    }
     return out;
   };
   const std::string bodies[] = {
       "\"type\":\"sweep\",\"workload\":\"Denoise\",\"scale\":0.03,"
       "\"points\":[{\"islands\":6,\"net\":\"proxy\"},{\"islands\":12}]",
-      "\"type\":\"search\",\"workload\":\"Deblur\",\"scale\":0.05,"
-      "\"budget\":8,\"seed\":3,"
-      "\"space\":{\"islands\":[3,6],\"rings\":[1,2],\"widths\":[16]}",
+      "\"type\":\"sweep\",\"workload\":\"Deblur\",\"scale\":0.05",
   };
   for (const std::string& body : bodies) {
     Request want;
@@ -285,7 +271,6 @@ TEST(Protocol, IgnoresRetiredShardsField) {
           << text << ": " << error;
       EXPECT_EQ(got.kind, want.kind) << text;
       EXPECT_EQ(got.scale, want.scale) << text;
-      EXPECT_EQ(got.search.scale, want.search.scale) << text;
       EXPECT_EQ(fields(got), fields(want)) << text;
     }
   }
@@ -364,16 +349,18 @@ TEST(Protocol, EnvelopeRejectsUnsupportedVersionsListingSupportedOnes) {
 }
 
 TEST(Protocol, UnknownTypeErrorListsTheSharedRegistry) {
-  EXPECT_EQ(protocol::supported_types(), "ping|search|stats|sweep");
-  Request req;
-  std::string error;
-  EXPECT_FALSE(
-      protocol::parse_request("{\"type\":\"teapot\"}", &req, &error));
-  EXPECT_NE(error.find("unknown request type 'teapot'"), std::string::npos)
-      << error;
-  EXPECT_NE(error.find("(supported: ping|search|stats|sweep)"),
-            std::string::npos)
-      << error;
+  EXPECT_EQ(protocol::supported_types(), "ping|stats|sweep");
+  for (const std::string type : {"teapot", "search"}) {
+    Request req;
+    std::string error;
+    EXPECT_FALSE(protocol::parse_request("{\"type\":\"" + type + "\"}",
+                                         &req, &error));
+    EXPECT_NE(error.find("unknown request type '" + type + "'"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("(supported: ping|stats|sweep)"), std::string::npos)
+        << error;
+  }
 }
 
 TEST(Protocol, ErrorResponseCarriesTheTraceIdWhenMinted) {
@@ -401,88 +388,6 @@ TEST(Protocol, SweepResponseBytesArePinned) {
   EXPECT_TRUE(obs::validate_json(frame));
   EXPECT_EQ(frame.size(), 29178u);
   EXPECT_EQ(core::fnv1a64(frame), 0x2067447a5ccf2b0bull);
-}
-
-// -------------------------------------------------------- search parsing
-
-TEST(Protocol, ParsesSearchWithDefaults) {
-  Request req;
-  std::string error;
-  ASSERT_TRUE(protocol::parse_request(
-      "{\"type\":\"search\",\"workload\":\"Denoise\"}", &req, &error))
-      << error;
-  EXPECT_EQ(req.kind, Request::Kind::kSearch);
-  EXPECT_EQ(req.search.workload, "Denoise");
-  EXPECT_DOUBLE_EQ(req.search.scale, 0.25);
-  EXPECT_EQ(req.search.objective, dse::Objective::kPerf);
-  EXPECT_EQ(req.search.budget, 16u);
-  EXPECT_EQ(req.search.seed, 1u);
-  EXPECT_EQ(req.search.space.size(), dse::SearchSpace{}.size());
-  // The admission/logging fields mirror the spec for fairness + the log.
-  EXPECT_EQ(req.workload, "Denoise");
-  EXPECT_DOUBLE_EQ(req.scale, 0.25);
-}
-
-TEST(Protocol, ParsesSearchWithExplicitSpaceAndKnobs) {
-  Request req;
-  std::string error;
-  ASSERT_TRUE(protocol::parse_request(
-      "{\"v\":1,\"type\":\"search\",\"workload\":\"Deblur\","
-      "\"scale\":0.05,\"objective\":\"perf_per_energy\",\"budget\":9,"
-      "\"seed\":42,\"space\":{\"islands\":[3,6],\"rings\":[1,2,3],"
-      "\"widths\":[16],\"ports\":[2],\"sharing\":[true],"
-      "\"mono\":[false,true],\"policies\":[\"sjf\",\"fifo\"]}}",
-      &req, &error))
-      << error;
-  EXPECT_EQ(req.search.objective, dse::Objective::kPerfPerEnergy);
-  EXPECT_EQ(req.search.budget, 9u);
-  EXPECT_EQ(req.search.seed, 42u);
-  EXPECT_EQ(req.search.space.islands,
-            (std::vector<std::uint32_t>{3, 6}));
-  EXPECT_EQ(req.search.space.rings, (std::vector<std::uint32_t>{1, 2, 3}));
-  EXPECT_EQ(req.search.space.widths, (std::vector<std::uint64_t>{16}));
-  EXPECT_EQ(req.search.space.ports, (std::vector<std::uint32_t>{2}));
-  EXPECT_EQ(req.search.space.sharing, (std::vector<bool>{true}));
-  EXPECT_EQ(req.search.space.mono, (std::vector<bool>{false, true}));
-  EXPECT_EQ(req.search.space.policies,
-            (std::vector<std::string>{"sjf", "fifo"}));
-  // Unspecified lists keep the default space ("nets" above).
-  EXPECT_EQ(req.search.space.nets, (std::vector<std::string>{"ring"}));
-}
-
-TEST(Protocol, RejectsMalformedSearchRequests) {
-  Request req;
-  std::string error;
-  const char* bad[] = {
-      "{\"type\":\"search\"}",  // no workload
-      "{\"type\":\"search\",\"workload\":\"D\",\"scale\":0}",
-      "{\"type\":\"search\",\"workload\":\"D\",\"objective\":\"latency\"}",
-      "{\"type\":\"search\",\"workload\":\"D\",\"budget\":0}",
-      "{\"type\":\"search\",\"workload\":\"D\",\"budget\":4097}",
-      "{\"type\":\"search\",\"workload\":\"D\",\"seed\":-1}",
-      "{\"type\":\"search\",\"workload\":\"D\",\"space\":7}",
-      "{\"type\":\"search\",\"workload\":\"D\",\"space\":"
-      "{\"islands\":[]}}",
-      "{\"type\":\"search\",\"workload\":\"D\",\"space\":"
-      "{\"islands\":3}}",
-      "{\"type\":\"search\",\"workload\":\"D\",\"space\":"
-      "{\"sharing\":[1]}}",
-  };
-  for (const char* text : bad) {
-    error.clear();
-    EXPECT_FALSE(protocol::parse_request(text, &req, &error)) << text;
-    EXPECT_FALSE(error.empty()) << text;
-  }
-  // The budget cap's boundary is admitted; the cap message names it.
-  ASSERT_TRUE(protocol::parse_request(
-      "{\"type\":\"search\",\"workload\":\"D\",\"budget\":4096}", &req,
-      &error))
-      << error;
-  EXPECT_EQ(req.search.budget, 4096u);
-  protocol::parse_request(
-      "{\"type\":\"search\",\"workload\":\"D\",\"budget\":4097}", &req,
-      &error);
-  EXPECT_NE(error.find("4096"), std::string::npos) << error;
 }
 
 // ------------------------------------------------------------ coalescing
@@ -758,104 +663,6 @@ TEST(Server, ServedEntriesAreBitIdenticalToLocalDseRun) {
   EXPECT_EQ(counter_value(snap, "serve.server.points_simulated"), 2u);
   EXPECT_EQ(counter_value(snap, "serve.server.points_cached"), 2u);
   EXPECT_EQ(counter_value(snap, "serve.server.sweeps"), 2u);
-  server.stop();
-}
-
-/// Byte-extract the first balanced JSON object following `tag`.
-std::string extract_object(const std::string& text, const std::string& tag) {
-  const std::size_t pos = text.find(tag);
-  if (pos == std::string::npos) return "";
-  std::size_t i = pos + tag.size();
-  const std::size_t start = i;
-  int depth = 0;
-  bool in_string = false;
-  for (; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-    } else if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      if (--depth == 0) {
-        ++i;
-        break;
-      }
-    }
-  }
-  return text.substr(start, i - start);
-}
-
-TEST(Server, ServedSearchResultIsBitIdenticalToLocalDseSearch) {
-  ServerOptions opts;
-  opts.jobs = 2;
-  opts.handlers = 1;
-  opts.queue_capacity = 4;
-  Server server(opts);
-  server.start();
-
-  Request req;
-  std::string error;
-  ASSERT_TRUE(protocol::parse_request(
-      "{\"v\":1,\"type\":\"search\",\"workload\":\"Denoise\","
-      "\"scale\":0.03,\"budget\":4,\"space\":{\"islands\":[3,6],"
-      "\"rings\":[1,2],\"widths\":[16],\"ports\":[1],"
-      "\"sharing\":[false]}}",
-      &req, &error))
-      << error;
-  const std::string response = server.handle(req);
-  ASSERT_NE(response.find("\"type\":\"search_result\""), std::string::npos)
-      << response;
-
-  // Local reference with different jobs and no cache: the deterministic
-  // block must still match byte for byte.
-  dse::SearchRequest local;
-  local.spec = req.search;
-  local.jobs = 1;
-  const std::string expected = dse::search_result_json(dse::search(local));
-  EXPECT_EQ(extract_object(response, "\"result\":"), expected);
-
-  // Warm repeat through the server's shared cache: same bytes, all hits.
-  const std::string warm = server.handle(req);
-  EXPECT_EQ(extract_object(warm, "\"result\":"), expected);
-  obs::JsonValue parsed;
-  ASSERT_TRUE(obs::parse_json(warm, &parsed, nullptr));
-  EXPECT_EQ(parsed.find("simulated")->as_u64(), 0u);
-  EXPECT_EQ(parsed.find("cache_hits")->as_u64(), 4u);
-
-  const auto snap = server.stats_snapshot();
-  EXPECT_EQ(counter_value(snap, "serve.search.requests"), 2u);
-  EXPECT_EQ(counter_value(snap, "serve.search.evaluated"), 8u);
-  EXPECT_EQ(counter_value(snap, "serve.search.simulated"), 4u);
-  EXPECT_EQ(counter_value(snap, "serve.search.cache_hits"), 4u);
-  server.stop();
-}
-
-TEST(Server, SearchWithUnknownWorkloadIsATypedBadRequest) {
-  ServerOptions opts;
-  opts.jobs = 1;
-  opts.handlers = 1;
-  opts.queue_capacity = 2;
-  Server server(opts);
-  server.start();
-
-  Request req;
-  std::string error;
-  ASSERT_TRUE(protocol::parse_request(
-      "{\"type\":\"search\",\"workload\":\"NoSuchBenchmark\",\"budget\":2}",
-      &req, &error))
-      << error;
-  const std::string response = server.handle(req);
-  EXPECT_NE(response.find("\"type\":\"error\""), std::string::npos)
-      << response;
-  EXPECT_NE(response.find("\"code\":\"bad_request\""), std::string::npos)
-      << response;
-  EXPECT_NE(response.find("\"trace_id\":"), std::string::npos) << response;
   server.stop();
 }
 

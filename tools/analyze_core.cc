@@ -1555,22 +1555,6 @@ ProtoSite harvest_proto(const SourceFile& f, bool label_keys) {
   return site;
 }
 
-/// "widths" produces "width", "policies" produces "policy": search-space
-/// list fields are the plural of the point field they enumerate.
-bool deplural_match(const std::string& key,
-                    const std::set<std::string>& produced) {
-  if (produced.count(key) != 0) return true;
-  if (key.size() > 3 && key.compare(key.size() - 3, 3, "ies") == 0 &&
-      produced.count(key.substr(0, key.size() - 3) + "y") != 0) {
-    return true;
-  }
-  if (key.size() > 1 && key.back() == 's' &&
-      produced.count(key.substr(0, key.size() - 1)) != 0) {
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 void analyze_protocol(const Corpus& corpus, std::vector<Finding>* out) {
@@ -1598,7 +1582,7 @@ void analyze_protocol(const Corpus& corpus, std::vector<Finding>* out) {
 
   // 1. Request fields the server parses must be producible by an in-repo
   // producer: the client's request builders or the PointSpec label
-  // surface (plural space lists map to their singular point field).
+  // surface.
   std::set<std::string> producers;
   for (const auto& [k, l] : client_site.produced) {
     (void)l;
@@ -1609,7 +1593,7 @@ void analyze_protocol(const Corpus& corpus, std::vector<Finding>* out) {
     producers.insert(k);
   }
   for (const auto& [key, line] : server_site.parsed) {
-    if (deplural_match(key, producers)) continue;
+    if (producers.count(key) != 0) continue;
     out->push_back(
         {protocol->path, line, "proto-unproduced", "proto-unproduced:" + key,
          "protocol field \"" + key +

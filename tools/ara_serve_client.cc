@@ -9,8 +9,7 @@
 //   ara_serve_client --socket /tmp/ara.sock --stats
 //   ara_serve_client --socket /tmp/ara.sock
 //       --json '{"type":"sweep","workload":"Denoise","scale":0.05}'
-//   ara_serve_client --socket /tmp/ara.sock
-//       --search Denoise --objective perf --budget 12 --seed 7
+//   ara_serve_client --socket /tmp/ara.sock --sweep Denoise --scale 0.05
 //
 // Outgoing frames are validated through the same protocol registry the
 // server parses with (serve::protocol::parse_request), so a typo'd --json
@@ -58,12 +57,8 @@ void usage() {
       "  --raw            skip local validation of the outgoing frame\n"
       "  --client NAME    stamp built-in requests with a \"client\" field\n"
       "                   (shows up in server-side request traces)\n"
-      "  --search BENCH   autotuning search over the default space\n"
-      "  --objective O    search objective: perf | perf_per_energy |\n"
-      "                   perf_per_area (default perf)\n"
-      "  --budget N       search evaluation budget (default 16)\n"
-      "  --seed N         search sampler seed (default 1)\n"
-      "  --scale F        search invocation scale factor (default 0.25)\n"
+      "  --sweep BENCH    sweep one default design point of BENCH\n"
+      "  --scale F        --sweep invocation scale factor (default 0.25)\n"
       "  --watch          poll stats and render live rates/deltas\n"
       "  --interval-ms N  watch poll interval (default 1000)\n"
       "  --count N        stop watching after N ticks (default 0 = forever)\n"
@@ -158,10 +153,7 @@ int main(int argc, char** argv) {
   bool raw = false;
   bool user_json = false;
   std::string client_name;
-  std::string search_bench;
-  std::string objective = "perf";
-  std::uint64_t budget = 16;
-  std::uint64_t seed = 1;
+  std::string sweep_bench;
   std::string scale_text;
   unsigned interval_ms = 1000;
   std::uint64_t count = 0;
@@ -190,21 +182,10 @@ int main(int argc, char** argv) {
       raw = true;
     } else if (arg == "--client") {
       client_name = next();
-    } else if (arg == "--search") {
-      search_bench = next();
-    } else if (arg == "--objective") {
-      objective = next();
+    } else if (arg == "--sweep") {
+      sweep_bench = next();
     } else if (arg == "--scale") {
       scale_text = next();
-    } else if (arg == "--budget" || arg == "--seed") {
-      const std::string value = next();
-      std::uint64_t v = 0;
-      if (!ara::common::parse_unsigned(value, UINT64_MAX, &v)) {
-        std::cerr << arg << ": expected an integer from 0 to " << UINT64_MAX
-                  << ", got '" << value << "'\n";
-        return 2;
-      }
-      (arg == "--budget" ? budget : seed) = v;
     } else if (arg == "--watch") {
       watch_mode = true;
     } else if (arg == "--interval-ms" || arg == "--count") {
@@ -230,22 +211,22 @@ int main(int argc, char** argv) {
     std::cerr << "error: --socket PATH is required (see --help)\n";
     return 2;
   }
-  if (!search_bench.empty()) {
-    double scale = 0.25;
-    if (!scale_text.empty() &&
-        !ara::common::parse_scale(scale_text, &scale)) {
-      std::cerr << "--scale: scale must be finite and > 0, got '"
-                << scale_text << "'\n";
-      return 2;
-    }
+  double scale = 0.25;
+  if (!scale_text.empty() && !ara::common::parse_scale(scale_text, &scale)) {
+    std::cerr << "--scale: scale must be finite and > 0, got '" << scale_text
+              << "'\n";
+    return 2;
+  }
+  if (!scale_text.empty() && sweep_bench.empty()) {
+    std::cerr << "error: --scale only applies to --sweep (see --help)\n";
+    return 2;
+  }
+  if (!sweep_bench.empty()) {
     std::ostringstream os;
     os << "{\"v\":" << serve::protocol::kProtocolVersion
-       << ",\"type\":\"search\",\"workload\":\"";
-    obs::json_escape(os, search_bench);
-    os << "\",\"objective\":\"";
-    obs::json_escape(os, objective);
-    os << "\",\"budget\":" << budget << ",\"seed\":" << seed
-       << ",\"scale\":";
+       << ",\"type\":\"sweep\",\"workload\":\"";
+    obs::json_escape(os, sweep_bench);
+    os << "\",\"scale\":";
     obs::json_number(os, scale, 17);
     os << "}";
     request = os.str();
