@@ -24,7 +24,6 @@
 #include <iostream>
 #include <iterator>
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -38,7 +37,6 @@
 #include "common/config_error.h"
 #include "core/arch_config.h"
 #include "core/system.h"
-#include "dse/coalesce.h"
 #include "dse/parallel_sweep.h"
 #include "dse/result_cache.h"
 #include "dse/sweep.h"
@@ -1172,12 +1170,12 @@ int run(int argc, char** argv) {
       return 2;
     }
   }
-  std::optional<dse::ResultCache> cache;
-  if (!cli.cache_dir.empty()) cache.emplace(cli.cache_dir);
+  // Memory-only without --cache.
+  dse::ResultCache cache(cli.cache_dir);
   if (cli.check) check::set_enabled(true);
 
-  // Every selected row's points, row by row, in one request: the
-  // coalescer simulates a point that several rows need once.
+  // Every selected row's points, row by row, in one request: the cache
+  // simulates a point that several rows need once.
   Context ctx(scale);
   Points points;
   std::vector<std::size_t> first(std::size(kFigures) + 1, 0);
@@ -1190,12 +1188,9 @@ int run(int argc, char** argv) {
 
   std::vector<dse::SweepResult> results;
   if (!points.empty()) {
-    dse::PointCoalescer coalescer;
     dse::SweepRequest request;
     for (const auto& p : points) request.add(p.config, *p.workload);
-    request.with_jobs(cli.jobs)
-        .with_cache(cache ? &*cache : nullptr)
-        .with_coalescer(&coalescer);
+    request.with_jobs(cli.jobs).with_cache(&cache);
     const auto start = std::chrono::steady_clock::now();
     results = dse::run(request);
     print_sweep_summary(

@@ -245,36 +245,59 @@ bool ResultCache::from_json(const std::string& text, std::uint64_t key,
 }
 
 bool ResultCache::lookup(std::uint64_t key, Entry* out) {
+  return probe(key, out, /*claim=*/false) == Claim::kHit;
+}
+
+ResultCache::Claim ResultCache::claim(std::uint64_t key, Entry* out) {
+  return probe(key, out, /*claim=*/true);
+}
+
+ResultCache::Claim ResultCache::probe(std::uint64_t key, Entry* out,
+                                      bool claim) {
   {
     common::MutexLock lock(mu_);
-    auto it = memory_.find(key);
+    const auto it = memory_.find(key);
     if (it != memory_.end()) {
       *out = it->second;
       ++hits_;
-      return true;
+      return Claim::kHit;
+    }
+    if (claim && !claims_.insert(key).second) {
+      ++misses_;
+      ++coalesced_;
+      return Claim::kFollow;
+    }
+    if (dir_.empty()) {
+      ++misses_;
+      return Claim::kLead;
     }
   }
-  if (!dir_.empty()) {
-    std::ifstream in(entry_path(key));
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      Entry e;
-      if (from_json(buf.str(), key, salt_, &e)) {
-        common::MutexLock lock(mu_);
-        memory_[key] = e;
-        ++hits_;
-        ++disk_hits_;
-        *out = std::move(e);
-        return true;
-      }
-      // Corrupt / stale file: fall through to a miss; the fresh result
-      // overwrites it on insert.
-    }
-  }
+  // No file I/O under mu_. A claimant holds the key meanwhile, so
+  // concurrent claimants follow it instead of reading the file too.
+  Entry e;
+  const bool on_disk = read_disk_entry(key, &e);
   common::MutexLock lock(mu_);
-  ++misses_;
-  return false;
+  if (!on_disk) {
+    ++misses_;
+    return Claim::kLead;
+  }
+  ++hits_;
+  ++disk_hits_;
+  memory_[key] = e;
+  retire(key);
+  *out = std::move(e);
+  return Claim::kHit;
+}
+
+bool ResultCache::read_disk_entry(std::uint64_t key, Entry* out) const {
+  if (dir_.empty()) return false;
+  std::ifstream in(entry_path(key));
+  if (!in) return false;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  // A corrupt or stale file is a miss; the fresh result overwrites it on
+  // insert.
+  return from_json(buf.str(), key, salt_, out);
 }
 
 void ResultCache::write_disk_entry(std::uint64_t key,
@@ -304,6 +327,25 @@ void ResultCache::insert(std::uint64_t key, const Entry& entry) {
   }
   common::MutexLock lock(mu_);
   memory_[key] = entry;
+  retire(key);
+}
+
+void ResultCache::abandon(std::uint64_t key) {
+  common::MutexLock lock(mu_);
+  retire(key);
+}
+
+bool ResultCache::wait(std::uint64_t key, Entry* out) {
+  common::MutexLock lock(mu_);
+  while (claims_.contains(key)) cv_.wait(mu_);
+  const auto it = memory_.find(key);
+  if (it == memory_.end()) return false;
+  *out = it->second;
+  return true;
+}
+
+void ResultCache::retire(std::uint64_t key) {
+  if (claims_.erase(key) != 0) cv_.notify_all();
 }
 
 std::uint64_t ResultCache::hits() const {
@@ -319,6 +361,11 @@ std::uint64_t ResultCache::misses() const {
 std::uint64_t ResultCache::disk_hits() const {
   common::MutexLock lock(mu_);
   return disk_hits_;
+}
+
+std::uint64_t ResultCache::coalesced() const {
+  common::MutexLock lock(mu_);
+  return coalesced_;
 }
 
 std::size_t ResultCache::size() const {

@@ -16,6 +16,22 @@
 //    with the strict obs::parse_json; corrupt or truncated files are
 //    treated as misses, never as errors.
 //
+// The cache also holds the claims on points in flight, so one store
+// decides which caller simulates a key: a finished point is never
+// simulated again, and neither is one another caller is simulating.
+// Protocol per key (dse::run drives it):
+//  1. claim(key) probes memory, then the claims, then disk. A hit fills
+//     the entry; a key someone else claimed is kFollow; otherwise the
+//     caller now holds the claim (kLead).
+//  2. A leader simulates and insert()s the entry, which stores it, retires
+//     the claim and wakes its followers under one lock. If the simulation
+//     throws, the leader abandon()s the claim instead.
+//  3. A follower wait()s only once its own claims are filled or abandoned
+//     (one that waited while holding a claim could deadlock with a caller
+//     following it). wait() copies the stored entry, or reports an
+//     abandoned claim; the follower then simulates the point itself, a
+//     pure function of the key, so the result is bit-identical either way.
+//
 // Host-dependent observability (wall seconds) is NOT cached — a hit
 // restores the deterministic fields (result, metrics, event count,
 // per-kind dispatch counts) and reports wall_seconds = 0.
@@ -25,6 +41,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -72,12 +89,36 @@ class ResultCache {
                            const workloads::Workload& workload,
                            std::uint64_t salt = kSimVersionSalt);
 
+  /// What claim() found for a key.
+  enum class Claim {
+    kHit,     // the entry is stored: *out holds it
+    kFollow,  // another caller holds the key's claim: wait() for it
+    kLead,    // the caller now holds the claim: insert() or abandon() it
+  };
+
   /// Probe memory then disk. A disk hit is promoted into the memory tier.
+  /// Claims nothing: a key in flight is a miss.
   bool lookup(std::uint64_t key, Entry* out) ARA_EXCLUDES(mu_, disk_mu_);
 
-  /// Store in memory and (when configured) on disk. Overwrites.
+  /// Probe memory, then the claims in flight, then disk (the claimant
+  /// holds the key while it reads the file). A disk hit is promoted into
+  /// the memory tier and counts in disk_hits().
+  Claim claim(std::uint64_t key, Entry* out) ARA_EXCLUDES(mu_, disk_mu_);
+
+  /// Store in memory and (when configured) on disk. Overwrites. This is
+  /// how a leader fills its claim: the claim on `key` retires and its
+  /// followers wake with the entry.
   void insert(std::uint64_t key, const Entry& entry)
       ARA_EXCLUDES(mu_, disk_mu_);
+
+  /// Leader only: retire the claim on `key` without an entry (the
+  /// simulation threw). Its followers' wait() returns false.
+  void abandon(std::uint64_t key) ARA_EXCLUDES(mu_, disk_mu_);
+
+  /// Follower only: block until no claim on `key` is in flight. True with
+  /// `*out` filled when the entry is stored; false when the claim was
+  /// abandoned.
+  bool wait(std::uint64_t key, Entry* out) ARA_EXCLUDES(mu_, disk_mu_);
 
   const std::string& dir() const { return dir_; }
   std::uint64_t salt() const { return salt_; }
@@ -88,6 +129,9 @@ class ResultCache {
   std::uint64_t misses() const ARA_EXCLUDES(mu_);
   /// Subset of hits() served by reading a disk file.
   std::uint64_t disk_hits() const ARA_EXCLUDES(mu_);
+  /// claim()s answered kFollow: each one a simulation avoided, unless its
+  /// leader abandoned.
+  std::uint64_t coalesced() const ARA_EXCLUDES(mu_);
   std::size_t size() const ARA_EXCLUDES(mu_);
 
   /// Serialize an entry as one JSON object (exact precision) plus a
@@ -108,19 +152,36 @@ class ResultCache {
   std::string entry_path(std::uint64_t key) const;
 
  private:
+  /// The one probe path of lookup() and claim(): memory, then (when
+  /// claiming) the claims in flight, then disk. Without `claim`, a miss
+  /// answers kLead and claims nothing.
+  Claim probe(std::uint64_t key, Entry* out, bool claim)
+      ARA_EXCLUDES(mu_, disk_mu_);
+
+  /// Read `entry_path(key)`; false when there is no disk tier, no file, or
+  /// a corrupt or stale one.
+  bool read_disk_entry(std::uint64_t key, Entry* out) const;
+
   /// Serialize one entry to `entry_path(key)` via tmp + rename.
   void write_disk_entry(std::uint64_t key, const Entry& entry) const
       ARA_REQUIRES(disk_mu_);
+
+  /// Retire the claim on `key`, if any, and wake every waiter.
+  void retire(std::uint64_t key) ARA_REQUIRES(mu_);
 
   // Immutable after construction (safe to read without a lock).
   std::string dir_;
   std::uint64_t salt_ = kSimVersionSalt;
 
   mutable common::Mutex mu_;
+  common::CondVar cv_;  // followers: a claim retired
   std::unordered_map<std::uint64_t, Entry> memory_ ARA_GUARDED_BY(mu_);
+  /// Keys whose leader is simulating them (or reading their disk file).
+  std::unordered_set<std::uint64_t> claims_ ARA_GUARDED_BY(mu_);
   std::uint64_t hits_ ARA_GUARDED_BY(mu_) = 0;
   std::uint64_t misses_ ARA_GUARDED_BY(mu_) = 0;
   std::uint64_t disk_hits_ ARA_GUARDED_BY(mu_) = 0;
+  std::uint64_t coalesced_ ARA_GUARDED_BY(mu_) = 0;
 
   /// Guards the on-disk tier's tmp-file protocol. Every writer of a given
   /// cache uses the same "<path>.tmp" scratch name, so two concurrent

@@ -20,8 +20,6 @@
 
 namespace ara::dse {
 
-class PointCoalescer;
-
 struct ConfigPoint {
   std::string label;
   core::ArchConfig config;
@@ -48,8 +46,7 @@ struct SweepJob {
 /// and restored exactly on a cache hit) plus host-side observability.
 struct SweepResult : ResultCache::Entry {
   /// The point's cache key as dse::run computed it (under the cache's
-  /// salt, or kSimVersionSalt with only a coalescer); 0 when the request
-  /// had neither cache nor coalescer.
+  /// salt); 0 when the request had no cache.
   std::uint64_t key = 0;
   /// Host wall-clock seconds this point cost: building its System,
   /// simulating, and destroying the System again (0 for a cache hit —
@@ -62,10 +59,10 @@ struct SweepResult : ResultCache::Entry {
   /// simulated. All deterministic fields (result, metrics, events,
   /// event-kind counts) are bit-identical either way.
   bool from_cache = false;
-  /// True when the point was served by waiting on an identical point
-  /// already in flight in a concurrent dse::run (see PointCoalescer) —
-  /// nothing was simulated by this request, and the deterministic fields
-  /// are bit-identical to a fresh simulation.
+  /// True when an identical point was simulated once for it: earlier in
+  /// the same request, or in a concurrent dse::run holding the point's
+  /// ResultCache claim. Nothing was simulated for this point, and the
+  /// deterministic fields are bit-identical to a fresh simulation.
   bool coalesced = false;
 };
 
@@ -77,18 +74,13 @@ struct SweepRequest {
   /// Worker threads; 0 = hardware concurrency, 1 (default) = serial. Any
   /// value produces bit-identical results (each point owns its simulator).
   unsigned jobs = 1;
-  /// Optional memoization tier (borrowed, may be shared across requests):
-  /// points whose (config, workload, salt) key hits are restored without
-  /// simulating; misses are simulated and inserted.
+  /// Optional result store (borrowed, may be shared across concurrent
+  /// requests; a sweep server passes one per process). With a cache, every
+  /// distinct (config, workload, salt) key simulates at most once: a
+  /// stored point is restored, a point another request is simulating is
+  /// waited for, and duplicates within the request copy their first
+  /// occurrence. Without one, every point simulates.
   ResultCache* cache = nullptr;
-  /// Optional in-flight dedup (borrowed, shared across the concurrent
-  /// dse::run calls whose duplicate work it should collapse — a sweep
-  /// server passes one per process). Identical points submitted while a
-  /// simulation of them is still running are served by waiting for that
-  /// simulation instead of repeating it; with a coalescer set, duplicate
-  /// points *within* one request also simulate only once. Point keys use
-  /// cache->salt() when a cache is set, kSimVersionSalt otherwise.
-  PointCoalescer* coalescer = nullptr;
   /// Optional request trace (borrowed; null = untraced). dse::run charges
   /// the classification pre-pass to the cache_lookup span, executor time
   /// to simulate, follower waits to coalesce_wait, and counts each
@@ -115,19 +107,16 @@ struct SweepRequest {
     cache = c;
     return *this;
   }
-  SweepRequest& with_coalescer(PointCoalescer* c) {
-    coalescer = c;
-    return *this;
-  }
   SweepRequest& with_trace(obs::RequestTrace* t) {
     trace = t;
     return *this;
   }
 };
 
-/// Run the request: probe the cache (when present) for every point,
-/// simulate the misses on `request.jobs` workers, insert them back, and
-/// return per-point results in input order.
+/// Run the request: claim every point in the cache (when present),
+/// simulate the points this request leads on `request.jobs` workers,
+/// insert them back, wait for the points other requests lead, and return
+/// per-point results in input order.
 std::vector<SweepResult> run(const SweepRequest& request);
 
 }  // namespace ara::dse

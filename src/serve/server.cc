@@ -138,7 +138,6 @@ std::string Server::execute_sweep(const protocol::Request& request,
     dse::SweepRequest sweep;
     sweep.jobs = opts_.jobs;
     sweep.cache = &cache_;
-    sweep.coalescer = &coalescer_;
     sweep.trace = trace;
     for (const auto& point : request.points) {
       core::ArchConfig config = point.to_config();
@@ -222,14 +221,14 @@ void Server::stop() {
 
 obs::MetricsSnapshot Server::stats_snapshot() {
   common::MutexLock lock(mu_);
-  // Monotonic roll-ups of the shared components' own telemetry (gauges
-  // that can shrink, like coalescer in-flight, are deliberately absent:
-  // counters only move up).
+  // Monotonic roll-ups of the cache's own telemetry (gauges that can
+  // shrink, like the claims in flight, are deliberately absent: counters
+  // only move up).
   stats_.set_counter("serve.cache.hits", cache_.hits());
   stats_.set_counter("serve.cache.misses", cache_.misses());
   stats_.set_counter("serve.cache.disk_hits", cache_.disk_hits());
   stats_.set_counter("serve.cache.entries", cache_.size());
-  stats_.set_counter("serve.coalescer.coalesced", coalescer_.coalesced());
+  stats_.set_counter("serve.coalescer.coalesced", cache_.coalesced());
   obs::MetricsSnapshot snap = obs::MetricsSnapshot::capture(stats_);
 
   // serve.window.*: the sliding-window time-series. These are gauges over

@@ -1,15 +1,15 @@
 // ara_serve core: a persistent sweep service wrapped around dse::run.
 //
 // One Server owns the process-wide warm state — a dse::ResultCache (memory
-// + optional disk tier) and a dse::PointCoalescer — and exposes a single
-// entry point, handle(), that turns a parsed protocol::Request into a
-// response string. Every sweep goes through the exact same dse::run path
-// the CLI tools use, so a served point is bit-identical to a local run of
-// the same design point (the contract tests/serve_test.cc pins).
+// + optional disk tier, plus the claims on points in flight) — and exposes
+// a single entry point, handle(), that turns a parsed protocol::Request
+// into a response string. Every sweep goes through the exact same dse::run
+// path the CLI tools use, so a served point is bit-identical to a local
+// run of the same design point (the contract tests/serve_test.cc pins).
 //
 // Request flow for a sweep:
 //   session thread -> handle() -> admission control -> FairQueue ->
-//   handler thread -> dse::run (shared cache + coalescer) -> response.
+//   handler thread -> dse::run (shared cache) -> response.
 //
 // Admission control is a bounded FairQueue with per-client round-robin
 // scheduling: each client name owns a FIFO lane, and handlers take the
@@ -49,7 +49,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "dse/coalesce.h"
 #include "dse/result_cache.h"
 #include "obs/clock.h"
 #include "obs/request_log.h"
@@ -171,12 +170,11 @@ class Server {
   /// finish, then join the handler pool. Idempotent.
   void stop() ARA_EXCLUDES(mu_);
 
-  /// Server + cache + coalescer telemetry as a metrics snapshot (the
-  /// stats endpoint's payload).
+  /// Server + cache telemetry as a metrics snapshot (the stats endpoint's
+  /// payload).
   obs::MetricsSnapshot stats_snapshot() ARA_EXCLUDES(mu_);
 
   dse::ResultCache& cache() { return cache_; }
-  dse::PointCoalescer& coalescer() { return coalescer_; }
   /// The JSONL request log (null when ServerOptions::log_path is empty).
   const obs::RequestLog* request_log() const { return log_.get(); }
 
@@ -216,7 +214,6 @@ class Server {
 
   const ServerOptions opts_;
   dse::ResultCache cache_;
-  dse::PointCoalescer coalescer_;
   obs::MonotonicClock* clock_;  // opts_.clock or the host clock; never null
   std::unique_ptr<obs::RequestLog> log_;  // null when logging is off
 

@@ -47,6 +47,22 @@ expect_usage_error("--scale only applies to --sweep"
   "${CLIENT}" --socket "${no_socket}" --scale 0.5)
 expect_usage_error("unknown option '--search'"
   "${CLIENT}" --socket "${no_socket}" --search Denoise)
+# One flag chooses what the client sends. A second one, or an option of
+# another mode, is a usage error naming both flags instead of being
+# silently dropped.
+set(ping_json "{\"type\":\"ping\"}")
+expect_usage_error("--ping and --sweep"
+  "${CLIENT}" --socket "${no_socket}" --ping --sweep Denoise)
+expect_usage_error("--stats and --json"
+  "${CLIENT}" --socket "${no_socket}" --stats --json "${ping_json}")
+expect_usage_error("--watch and --sweep"
+  "${CLIENT}" --socket "${no_socket}" --watch --sweep Denoise --count 1)
+expect_usage_error("--client does not apply to --json"
+  "${CLIENT}" --socket "${no_socket}" --json "${ping_json}" --client me)
+expect_usage_error("--client does not apply to --watch"
+  "${CLIENT}" --socket "${no_socket}" --watch --client me)
+expect_usage_error("--count only applies to --watch"
+  "${CLIENT}" --socket "${no_socket}" --ping --count 1)
 
 # --metrics writes CSV for a .csv path only in ara_sim;
 # design_space_explorer always writes labeled JSON, and each --help says

@@ -1,9 +1,11 @@
 # The paper tier: EXPERIMENTS.md pinned to what ara_paper prints.
 #
-# Runs `ara_paper --metrics <OUT_DIR>/paper.json` once, at
-# ARA_BENCH_SCALE=0.5 and the default --jobs, validates the export with
-# ara_json_check, and compares stdout with EXPERIMENTS.md's generated
-# blocks. A block is the verbatim stdout of one ara_paper id, fenced as
+# Runs `ara_paper --metrics <OUT_DIR>/paper.json --cache <OUT_DIR>/cache`
+# at ARA_BENCH_SCALE=0.5 and the default --jobs on an empty cache,
+# validates the export with ara_json_check, checks that the pooled request
+# simulated each distinct point once and stored it, reruns on the warm
+# cache (same stdout, nothing simulated), and compares stdout with
+# EXPERIMENTS.md's generated blocks. A block is the verbatim stdout of one ara_paper id, fenced as
 # text between two markers naming the id:
 #
 #   <!-- BEGIN ara_paper fig01 -->
@@ -76,14 +78,44 @@ endif()
 # --- the run ---------------------------------------------------------------
 set(ENV{ARA_BENCH_SCALE} 0.5)
 set(metrics "${OUT_DIR}/paper.json")
+set(cache "${OUT_DIR}/cache")
 file(REMOVE "${metrics}")
+file(REMOVE_RECURSE "${cache}")
 execute_process(
-  COMMAND "${PAPER}" --metrics "${metrics}"
+  COMMAND "${PAPER}" --metrics "${metrics}" --cache "${cache}"
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE stdout
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "ara_paper failed (${rc}):\n${stdout}\n${err}")
+endif()
+# The rows ask for 309 points, 123 of them distinct: each distinct point
+# simulates once and is stored, and every repeat copies it.
+string(FIND "${err}"
+  "[sweep] 309 points requested: 123 simulated, 0 cached, 186 coalesced;"
+  at)
+file(GLOB entries "${cache}/*.json")
+list(LENGTH entries stored)
+if(at EQUAL -1 OR NOT stored EQUAL 123)
+  message(FATAL_ERROR "cold ara_paper --cache must simulate 123 of 309 "
+                      "points and store 123 entries, stored ${stored}:\n${err}")
+endif()
+# Warm rerun: every point comes from the cache and the tables are the same.
+execute_process(
+  COMMAND "${PAPER}" --cache "${cache}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE warm_stdout
+  ERROR_VARIABLE warm_err)
+string(FIND "${warm_err}" "0 simulated, 309 cached, 0 coalesced;" at)
+if(NOT rc EQUAL 0 OR at EQUAL -1)
+  message(FATAL_ERROR "warm ara_paper --cache must read all 309 points "
+                      "from the cache (${rc}):\n${warm_err}")
+endif()
+string(COMPARE EQUAL "${warm_stdout}" "${stdout}" same)
+if(NOT same)
+  file(WRITE "${OUT_DIR}/paper.warm.stdout.txt" "${warm_stdout}")
+  message(FATAL_ERROR "warm ara_paper --cache printed different tables; "
+                      "see ${OUT_DIR}/paper.warm.stdout.txt")
 endif()
 execute_process(
   COMMAND "${CHECK}" "${metrics}"
@@ -186,4 +218,5 @@ if(NOT first_diff STREQUAL "")
                       "${OUT_DIR}/paper.stdout.txt (ara_paper)")
 endif()
 message(STATUS "paper experiments ok: ${blocks} EXPERIMENTS.md blocks match "
-               "ara_paper, metrics export valid, usage errors rejected")
+               "ara_paper cold and warm, metrics export valid, usage errors "
+               "rejected")

@@ -1,7 +1,8 @@
 // Tests for the content-addressed sweep result cache: key scheme and
 // invalidation, the in-process and on-disk tiers, bit-exact round-trips
-// (doubles included), corrupt-file tolerance, and the cached-vs-fresh
-// determinism contract through dse::run().
+// (doubles included), corrupt-file tolerance, the cached-vs-fresh
+// determinism contract through dse::run(), and the claims that make each
+// distinct point simulate once across concurrent requests.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +19,9 @@
 #include "dse/result_cache.h"
 #include "dse/spec.h"
 #include "dse/sweep.h"
+#include "obs/clock.h"
 #include "obs/json_check.h"
+#include "obs/span.h"
 #include "workloads/registry.h"
 
 namespace ara::dse {
@@ -418,6 +421,176 @@ TEST(ResultCache, TelemetryAccountsEveryLookupUnderConcurrency) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.disk_hits(), 0u);
   EXPECT_GE(cache.hits(), 1u);
+}
+
+// ------------------------------------------------------------ claims
+
+TEST(Coalescer, DuplicatePointsInOneRequestSimulateOnce) {
+  const auto wl = test_workload();
+  const auto config = core::ArchConfig::ring_design(3, 1, 16);
+  ResultCache cache;
+  const auto results = run(SweepRequest{}
+                               .add(config, wl)
+                               .add(config, wl)
+                               .add(config, wl)
+                               .with_cache(&cache));
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_FALSE(results[0].coalesced);
+  EXPECT_FALSE(results[0].from_cache);
+  EXPECT_TRUE(results[1].coalesced);
+  EXPECT_TRUE(results[2].coalesced);
+  EXPECT_EQ(results[0].result, results[1].result);
+  EXPECT_EQ(results[0].result, results[2].result);
+  EXPECT_EQ(results[0].events, results[1].events);
+  // Every claim retired: a fresh claim of the key is a hit.
+  ResultCache::Entry entry;
+  EXPECT_EQ(cache.claim(results[0].key, &entry), ResultCache::Claim::kHit);
+}
+
+TEST(Coalescer, FollowerGetsLeaderEntryBitExact) {
+  const auto wl = test_workload();
+  const auto config = core::ArchConfig::ring_design(3, 1, 16);
+  const auto plain = run_one(config, wl);
+
+  ResultCache cache;
+  const std::uint64_t key = ResultCache::key(config, wl, cache.salt());
+  ResultCache::Entry unused;
+  ASSERT_EQ(cache.claim(key, &unused), ResultCache::Claim::kLead);
+
+  std::vector<SweepResult> follower_results;
+  std::thread follower([&] {
+    follower_results = run(SweepRequest{}.add(config, wl).with_cache(&cache));
+  });
+  // Deterministic hand-off: fill the claim only after the other request
+  // has verifiably claimed the key as a follower.
+  while (cache.coalesced() < 1) std::this_thread::yield();
+  cache.insert(key, plain);
+  follower.join();
+
+  ASSERT_EQ(follower_results.size(), 1u);
+  EXPECT_TRUE(follower_results[0].coalesced);
+  EXPECT_FALSE(follower_results[0].from_cache);
+  EXPECT_EQ(follower_results[0].result, plain.result);
+  EXPECT_EQ(follower_results[0].events, plain.events);
+  EXPECT_EQ(follower_results[0].wall_seconds, 0.0);  // nothing simulated here
+  EXPECT_EQ(cache.coalesced(), 1u);
+  ResultCache::Entry entry;
+  EXPECT_EQ(cache.claim(key, &entry), ResultCache::Claim::kHit);
+}
+
+TEST(Coalescer, AbandonedFollowerSelfSimulatesBitExact) {
+  const auto wl = test_workload();
+  const auto config = core::ArchConfig::ring_design(3, 1, 16);
+  const auto plain = run_one(config, wl);
+
+  ResultCache cache;
+  const std::uint64_t key = ResultCache::key(config, wl, cache.salt());
+  ResultCache::Entry unused;
+  ASSERT_EQ(cache.claim(key, &unused), ResultCache::Claim::kLead);
+
+  std::vector<SweepResult> follower_results;
+  std::thread follower([&] {
+    follower_results = run(SweepRequest{}.add(config, wl).with_cache(&cache));
+  });
+  while (cache.coalesced() < 1) std::this_thread::yield();
+  cache.abandon(key);  // the "leader's sweep threw" path
+  follower.join();
+
+  ASSERT_EQ(follower_results.size(), 1u);
+  EXPECT_FALSE(follower_results[0].coalesced);  // it really simulated
+  EXPECT_EQ(follower_results[0].result, plain.result);
+  EXPECT_EQ(follower_results[0].events, plain.events);
+  // The orphan fallback still populated the shared cache.
+  ResultCache::Entry cached;
+  EXPECT_TRUE(cache.lookup(key, &cached));
+  EXPECT_EQ(cached.result, plain.result);
+}
+
+TEST(Coalescer, TracedRunIsBitIdenticalAndCountsOutcomes) {
+  const auto wl = test_workload();
+  const auto small = core::ArchConfig::ring_design(3, 1, 16);
+  const auto big = core::ArchConfig::ring_design(6, 1, 16);
+
+  // Untraced reference with no warm state.
+  const auto plain = run(SweepRequest{}.add(small, wl).add(big, wl));
+
+  obs::FakeClock clock;
+  obs::RequestTrace trace;
+  trace.clock = &clock;
+  ResultCache cache;
+  const auto traced = run(SweepRequest{}
+                              .add(small, wl)
+                              .add(big, wl)
+                              .add(small, wl)  // in-request duplicate
+                              .with_cache(&cache)
+                              .with_trace(&trace));
+  // Two fresh misses; the repeated point is an alias of the first.
+  EXPECT_EQ(trace.misses, 2u);
+  EXPECT_EQ(trace.aliases, 1u);
+  EXPECT_EQ(trace.hits, 0u);
+  EXPECT_EQ(trace.followers, 0u);
+  EXPECT_EQ(trace.failed, 0u);
+
+  // Tracing is pure observability: results and cache-entry bytes match
+  // the untraced run exactly.
+  ASSERT_EQ(traced.size(), 3u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(traced[i].result, plain[i].result);
+    EXPECT_EQ(traced[i].events, plain[i].events);
+  }
+  const std::uint64_t key = ResultCache::key(small, wl, cache.salt());
+  EXPECT_EQ(ResultCache::to_json(key, cache.salt(), traced[0]),
+            ResultCache::to_json(key, cache.salt(), plain[0]));
+
+  // Warm repeat against the same cache: pure hits.
+  obs::RequestTrace warm;
+  warm.clock = &clock;
+  const auto warm_run = run(SweepRequest{}
+                                .add(small, wl)
+                                .add(big, wl)
+                                .with_cache(&cache)
+                                .with_trace(&warm));
+  EXPECT_EQ(warm.hits, 2u);
+  EXPECT_EQ(warm.misses, 0u);
+  EXPECT_EQ(warm_run[0].result, plain[0].result);
+}
+
+// Concurrent requests over the same points: however they interleave, the
+// cache lets each distinct point simulate exactly once, and every other
+// copy is a hit or a coalesced wait with bit-identical bytes.
+TEST(ResultCache, ConcurrentRequestsSimulateEachPointOnce) {
+  const auto wl = test_workload();
+  SweepRequest request;
+  request.add(core::ArchConfig::paper_baseline(3), wl)
+      .add(core::ArchConfig::ring_design(3, 1, 16), wl)
+      .add(core::ArchConfig::ring_design(6, 2, 32), wl);
+  const auto plain = run(request);
+
+  ResultCache cache;
+  request.with_cache(&cache);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<SweepResult>> got(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] { got[t] = run(request); });
+    }
+    for (auto& th : threads) th.join();
+  }
+
+  std::size_t simulated = 0;
+  for (const auto& results : got) {
+    ASSERT_EQ(results.size(), plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      simulated += !results[i].from_cache && !results[i].coalesced;
+      const std::uint64_t key = results[i].key;
+      EXPECT_EQ(ResultCache::to_json(key, cache.salt(), results[i]),
+                ResultCache::to_json(key, cache.salt(), plain[i]))
+          << "point " << i;
+    }
+  }
+  EXPECT_EQ(simulated, plain.size());
+  EXPECT_EQ(cache.size(), plain.size());
 }
 
 TEST(ConfigDigest, CanonicalTextCoversConfigFields) {

@@ -1,10 +1,9 @@
 // Unit tests for the ara_serve subsystem: wire protocol (framing, request
-// parsing, response building), the fair admission queue, in-flight point
-// coalescing (PointCoalescer + the coalescing-aware dse::run paths), and
-// the Server core — with the bit-identity contract pinned: a served
-// point's "entry" object must be byte-for-byte the ResultCache JSON a
-// local dse::run of the same design point produces. The socket front end
-// is covered end-to-end by the serve_smoke ctest entry.
+// parsing, response building), the fair admission queue, and the Server
+// core — with the bit-identity contract pinned: a served point's "entry"
+// object must be byte-for-byte the ResultCache JSON a local dse::run of
+// the same design point produces. The socket front end is covered
+// end-to-end by the serve_smoke ctest entry.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -20,7 +19,6 @@
 
 #include "common/config_error.h"
 #include "core/config_digest.h"
-#include "dse/coalesce.h"
 #include "dse/result_cache.h"
 #include "dse/sweep.h"
 #include "obs/clock.h"
@@ -388,154 +386,6 @@ TEST(Protocol, SweepResponseBytesArePinned) {
   EXPECT_TRUE(obs::validate_json(frame));
   EXPECT_EQ(frame.size(), 29178u);
   EXPECT_EQ(core::fnv1a64(frame), 0x2067447a5ccf2b0bull);
-}
-
-// ------------------------------------------------------------ coalescing
-
-TEST(Coalescer, DuplicatePointsInOneRequestSimulateOnce) {
-  const auto wl = workloads::make_benchmark("Denoise", 0.03);
-  const auto config = core::ArchConfig::ring_design(3, 1, 16);
-  dse::PointCoalescer coalescer;
-  dse::ResultCache cache;
-  const auto results = dse::run(dse::SweepRequest{}
-                                    .add(config, wl)
-                                    .add(config, wl)
-                                    .add(config, wl)
-                                    .with_cache(&cache)
-                                    .with_coalescer(&coalescer));
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_FALSE(results[0].coalesced);
-  EXPECT_FALSE(results[0].from_cache);
-  EXPECT_TRUE(results[1].coalesced);
-  EXPECT_TRUE(results[2].coalesced);
-  EXPECT_EQ(results[0].result, results[1].result);
-  EXPECT_EQ(results[0].result, results[2].result);
-  EXPECT_EQ(results[0].events, results[1].events);
-  EXPECT_EQ(coalescer.in_flight(), 0u);  // every claim retired
-}
-
-TEST(Coalescer, FollowerGetsLeaderEntryBitExact) {
-  const auto wl = workloads::make_benchmark("Denoise", 0.03);
-  const auto config = core::ArchConfig::ring_design(3, 1, 16);
-  const auto plain = dse::run(dse::SweepRequest{}.add(config, wl)).front();
-
-  dse::PointCoalescer coalescer;
-  dse::ResultCache cache;
-  const std::uint64_t key =
-      dse::ResultCache::key(config, wl, cache.salt());
-  const auto leader = coalescer.join(key);
-  ASSERT_TRUE(leader.leader);
-
-  std::vector<dse::SweepResult> follower_results;
-  std::thread follower([&] {
-    follower_results = dse::run(dse::SweepRequest{}
-                                    .add(config, wl)
-                                    .with_cache(&cache)
-                                    .with_coalescer(&coalescer));
-  });
-  // Deterministic hand-off: publish only after the other request has
-  // verifiably joined as a follower.
-  while (coalescer.coalesced() < 1) std::this_thread::yield();
-  cache.insert(key, plain);  // cache-then-publish, as dse::run does
-  coalescer.publish(leader, plain);
-  follower.join();
-
-  ASSERT_EQ(follower_results.size(), 1u);
-  EXPECT_TRUE(follower_results[0].coalesced);
-  EXPECT_FALSE(follower_results[0].from_cache);
-  EXPECT_EQ(follower_results[0].result, plain.result);
-  EXPECT_EQ(follower_results[0].events, plain.events);
-  EXPECT_EQ(follower_results[0].wall_seconds, 0.0);  // nothing simulated here
-  EXPECT_EQ(coalescer.coalesced(), 1u);
-  EXPECT_EQ(coalescer.in_flight(), 0u);
-}
-
-TEST(Coalescer, AbandonedFollowerSelfSimulatesBitExact) {
-  const auto wl = workloads::make_benchmark("Denoise", 0.03);
-  const auto config = core::ArchConfig::ring_design(3, 1, 16);
-  const auto plain = dse::run(dse::SweepRequest{}.add(config, wl)).front();
-
-  dse::PointCoalescer coalescer;
-  dse::ResultCache cache;
-  const std::uint64_t key =
-      dse::ResultCache::key(config, wl, cache.salt());
-  const auto leader = coalescer.join(key);
-
-  std::vector<dse::SweepResult> follower_results;
-  std::thread follower([&] {
-    follower_results = dse::run(dse::SweepRequest{}
-                                    .add(config, wl)
-                                    .with_cache(&cache)
-                                    .with_coalescer(&coalescer));
-  });
-  while (coalescer.coalesced() < 1) std::this_thread::yield();
-  coalescer.abandon(leader);  // the "leader's sweep threw" path
-  follower.join();
-
-  ASSERT_EQ(follower_results.size(), 1u);
-  EXPECT_FALSE(follower_results[0].coalesced);  // it really simulated
-  EXPECT_EQ(follower_results[0].result, plain.result);
-  EXPECT_EQ(follower_results[0].events, plain.events);
-  // The orphan fallback still populated the shared cache.
-  dse::ResultCache::Entry cached;
-  EXPECT_TRUE(cache.lookup(key, &cached));
-  EXPECT_EQ(cached.result, plain.result);
-}
-
-// -------------------------------------------------------- request tracing
-
-TEST(Coalescer, TracedRunIsBitIdenticalAndCountsOutcomes) {
-  const auto wl = workloads::make_benchmark("Denoise", 0.03);
-  const auto small = core::ArchConfig::ring_design(3, 1, 16);
-  const auto big = core::ArchConfig::ring_design(6, 1, 16);
-
-  // Untraced reference with no warm state.
-  const auto plain =
-      dse::run(dse::SweepRequest{}.add(small, wl).add(big, wl));
-
-  obs::FakeClock clock;
-  obs::RequestTrace trace;
-  trace.clock = &clock;
-  dse::PointCoalescer coalescer;
-  dse::ResultCache cache;
-  const auto traced = dse::run(dse::SweepRequest{}
-                                   .add(small, wl)
-                                   .add(big, wl)
-                                   .add(small, wl)  // in-request duplicate
-                                   .with_cache(&cache)
-                                   .with_coalescer(&coalescer)
-                                   .with_trace(&trace));
-  // Two fresh misses; the repeated point is an alias of the first.
-  EXPECT_EQ(trace.misses, 2u);
-  EXPECT_EQ(trace.aliases, 1u);
-  EXPECT_EQ(trace.hits, 0u);
-  EXPECT_EQ(trace.followers, 0u);
-  EXPECT_EQ(trace.failed, 0u);
-
-  // Tracing is pure observability: results and cache-entry bytes match
-  // the untraced run exactly.
-  ASSERT_EQ(traced.size(), 3u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(traced[i].result, plain[i].result);
-    EXPECT_EQ(traced[i].events, plain[i].events);
-  }
-  const std::uint64_t key = dse::ResultCache::key(small, wl, cache.salt());
-  EXPECT_EQ(
-      dse::ResultCache::to_json(key, cache.salt(), traced[0]),
-      dse::ResultCache::to_json(key, cache.salt(), plain[0]));
-
-  // Warm repeat against the same cache: pure hits.
-  obs::RequestTrace warm;
-  warm.clock = &clock;
-  const auto warm_run = dse::run(dse::SweepRequest{}
-                                     .add(small, wl)
-                                     .add(big, wl)
-                                     .with_cache(&cache)
-                                     .with_coalescer(&coalescer)
-                                     .with_trace(&warm));
-  EXPECT_EQ(warm.hits, 2u);
-  EXPECT_EQ(warm.misses, 0u);
-  EXPECT_EQ(warm_run[0].result, plain[0].result);
 }
 
 // ---------------------------------------------------------------- server

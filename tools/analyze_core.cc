@@ -1616,10 +1616,6 @@ void analyze_protocol(const Corpus& corpus, std::vector<Finding>* out) {
   }
 
   // 3. Every point field the label surface exposes must be parseable.
-  for (const auto& [key, line] : spec_site.parsed) {
-    (void)line;
-    (void)key;  // labels parse nothing today; kept for symmetry
-  }
   if (spec != nullptr) {
     for (const auto& [key, line] : spec_site.produced) {
       if (server_site.parsed.count(key) != 0) continue;

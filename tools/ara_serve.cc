@@ -1,9 +1,10 @@
 // ara_serve: persistent sweep-as-a-service daemon.
 //
-// Keeps one warm dse::ResultCache and PointCoalescer across requests and
-// serves length-prefixed JSON sweep/point requests over a local AF_UNIX
-// socket (protocol in src/serve/protocol.h). Every sweep goes through
-// dse::run, so served results are bit-identical to the ara_* CLI tools.
+// Keeps one warm dse::ResultCache (finished points and the claims on
+// points in flight) across requests and serves length-prefixed JSON sweep
+// requests over a local AF_UNIX socket (protocol in src/serve/protocol.h).
+// Every sweep goes through dse::run, so served results are bit-identical
+// to the ara_* CLI tools.
 //
 // Usage:
 //   ara_serve --socket PATH [--handlers N] [--queue N] [--sessions N]

@@ -51,17 +51,20 @@ void usage() {
   std::cout <<
       "ara_serve_client — talk to an ara_serve daemon\n"
       "  --socket PATH    AF_UNIX socket the daemon listens on (required)\n"
-      "  --ping           liveness probe (default request)\n"
+      "one of (default --ping):\n"
+      "  --ping           liveness probe\n"
       "  --stats          fetch the server's metrics snapshot\n"
-      "  --json REQ       send a JSON request frame (validated locally)\n"
-      "  --raw            skip local validation of the outgoing frame\n"
-      "  --client NAME    stamp built-in requests with a \"client\" field\n"
-      "                   (shows up in server-side request traces)\n"
+      "  --json REQ       send a JSON request frame as written (validated\n"
+      "                   locally)\n"
       "  --sweep BENCH    sweep one default design point of BENCH\n"
-      "  --scale F        --sweep invocation scale factor (default 0.25)\n"
       "  --watch          poll stats and render live rates/deltas\n"
-      "  --interval-ms N  watch poll interval (default 1000)\n"
-      "  --count N        stop watching after N ticks (default 0 = forever)\n"
+      "options:\n"
+      "  --raw            skip local validation of the outgoing frame\n"
+      "  --client NAME    stamp a --ping, --stats or --sweep request with a\n"
+      "                   \"client\" field (shows up in server-side traces)\n"
+      "  --scale F        --sweep invocation scale factor (default 0.25)\n"
+      "  --interval-ms N  --watch poll interval (default 1000)\n"
+      "  --count N        stop --watch after N ticks (default 0 = forever)\n"
       "request types (shared server/client registry): " +
           ara::serve::protocol::supported_types() + "\n";
 }
@@ -149,12 +152,14 @@ int main(int argc, char** argv) {
 
   std::string socket_path;
   std::string request = "{\"type\":\"ping\"}";
-  bool watch_mode = false;
+  // The one flag that chose what to do: --ping, --stats, --json, --sweep
+  // or --watch ("" = the default ping).
+  std::string mode;
   bool raw = false;
-  bool user_json = false;
   std::string client_name;
   std::string sweep_bench;
   std::string scale_text;
+  std::string watch_option;  // the last --interval-ms or --count given
   unsigned interval_ms = 1000;
   std::uint64_t count = 0;
   for (int i = 1; i < argc; ++i) {
@@ -166,29 +171,41 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto choose = [&] {
+      if (!mode.empty()) {
+        std::cerr << "error: " << mode << " and " << arg
+                  << " both choose what to send; give at most one of "
+                     "--ping, --stats, --json, --sweep and --watch\n";
+        exit(2);
+      }
+      mode = arg;
+    };
     if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
     } else if (arg == "--socket") {
       socket_path = next();
     } else if (arg == "--ping") {
-      request = "{\"type\":\"ping\"}";
+      choose();
     } else if (arg == "--stats") {
+      choose();
       request = "{\"type\":\"stats\"}";
     } else if (arg == "--json") {
+      choose();
       request = next();
-      user_json = true;
     } else if (arg == "--raw") {
       raw = true;
     } else if (arg == "--client") {
       client_name = next();
     } else if (arg == "--sweep") {
+      choose();
       sweep_bench = next();
     } else if (arg == "--scale") {
       scale_text = next();
     } else if (arg == "--watch") {
-      watch_mode = true;
+      choose();
     } else if (arg == "--interval-ms" || arg == "--count") {
+      watch_option = arg;
       const std::string value = next();
       const std::uint64_t max = arg == "--interval-ms" ? UINT_MAX : UINT64_MAX;
       std::uint64_t v = 0;
@@ -217,11 +234,21 @@ int main(int argc, char** argv) {
               << "'\n";
     return 2;
   }
-  if (!scale_text.empty() && sweep_bench.empty()) {
+  if (!scale_text.empty() && mode != "--sweep") {
     std::cerr << "error: --scale only applies to --sweep (see --help)\n";
     return 2;
   }
-  if (!sweep_bench.empty()) {
+  if (!watch_option.empty() && mode != "--watch") {
+    std::cerr << "error: " << watch_option
+              << " only applies to --watch (see --help)\n";
+    return 2;
+  }
+  if (!client_name.empty() && (mode == "--json" || mode == "--watch")) {
+    std::cerr << "error: --client does not apply to " << mode
+              << " (see --help)\n";
+    return 2;
+  }
+  if (mode == "--sweep") {
     std::ostringstream os;
     os << "{\"v\":" << serve::protocol::kProtocolVersion
        << ",\"type\":\"sweep\",\"workload\":\"";
@@ -231,10 +258,9 @@ int main(int argc, char** argv) {
     os << "}";
     request = os.str();
   }
-  if (!client_name.empty() && !user_json) {
+  if (!client_name.empty()) {
     // Stamp the request with the protocol's optional "client" identity
-    // field so server-side traces attribute it to this invocation. User
-    // --json frames are sent as written (they may carry their own).
+    // field so server-side traces attribute it to this invocation.
     std::ostringstream os;
     os << "{\"client\":\"";
     obs::json_escape(os, client_name);
@@ -251,7 +277,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (watch_mode) return watch(socket_path, interval_ms, count);
+  if (mode == "--watch") return watch(socket_path, interval_ms, count);
 
   const int fd = serve::protocol::connect_unix(socket_path);
   if (fd < 0) {
