@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << cli.error << "\n";
     return 2;
   }
-  if (cli.check) check::set_enabled(true);
+  check::set_enabled(cli.check);
   const std::string& trace_file = cli.trace_file;
   const std::string& metrics_file = cli.metrics_file;
 

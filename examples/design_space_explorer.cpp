@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     usage(std::cerr);
     return 2;
   }
-  if (cli.check) check::set_enabled(true);
+  check::set_enabled(cli.check);
 
   std::string bench = "EKF-SLAM";
   for (int i = 1; i < argc; ++i) {

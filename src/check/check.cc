@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/cli_options.h"
 #include "core/run_result.h"
 #include "core/system.h"
 #include "workloads/workload.h"
@@ -19,9 +20,7 @@ std::atomic<int> g_override{-1};
 
 bool env_enabled() {
   const char* s = std::getenv("ARA_CHECK");
-  if (s == nullptr) return false;
-  const std::string v(s);
-  return !(v.empty() || v == "0" || v == "off" || v == "false");
+  return s != nullptr && common::truthy(s);
 }
 
 }  // namespace

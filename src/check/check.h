@@ -51,8 +51,8 @@ class CheckError : public std::runtime_error {
   explicit CheckError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Process-wide enable state: set_enabled() overrides; otherwise the
-/// ARA_CHECK environment variable decides ("" / "0" / unset = off).
+/// Process-wide enable state: set_enabled() overrides; otherwise ARA_CHECK
+/// decides by common::truthy (off when unset, "", "0", "off" or "false").
 /// core::System consults this at construction.
 bool enabled();
 void set_enabled(bool on);

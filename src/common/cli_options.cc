@@ -33,6 +33,10 @@ bool parse_scale(std::string_view text, double* out) {
   return true;
 }
 
+bool truthy(std::string_view v) {
+  return !v.empty() && v != "0" && v != "off" && v != "false";
+}
+
 namespace {
 
 /// `--name V` / `--name=V` matcher. Returns the number of argv slots the
@@ -59,12 +63,6 @@ int match(std::string_view name, int i, int argc, char** argv,
     return 2;
   }
   return 0;
-}
-
-/// Truthiness rule shared with check::enabled()'s ARA_CHECK handling:
-/// empty, "0", "off" and "false" mean unset.
-bool truthy(std::string_view v) {
-  return !v.empty() && v != "0" && v != "off" && v != "false";
 }
 
 bool parse_jobs_value(std::string_view text, unsigned* out) {

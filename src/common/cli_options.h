@@ -32,6 +32,9 @@ bool parse_unsigned(std::string_view text, std::uint64_t max,
 /// silent default.
 bool parse_scale(std::string_view text, double* out);
 
+/// The rule of `--check=V` and ARA_CHECK: "", "0", "off", "false" are off.
+bool truthy(std::string_view v);
+
 struct CliOptions {
   enum Flag : unsigned {
     kJobs = 1u << 0,     // --jobs N     | ARA_JOBS
@@ -54,9 +57,8 @@ struct CliOptions {
   /// JSONL request-log path ("" = off; serve tools only).
   std::string log_file;
   /// Run with the ara::check invariant checker armed on every System.
-  /// Boolean: bare `--check` means true, `--check=BOOL` goes through the
-  /// shared truthiness rule (0/off/false/empty = off), and ARA_CHECK obeys
-  /// the same rule.
+  /// Boolean: bare `--check` means true; `--check=BOOL` and ARA_CHECK go
+  /// through truthy(), and the flag wins over the environment.
   bool check = false;
 
   /// Non-empty after parse() when a flag had a malformed value (e.g.

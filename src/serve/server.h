@@ -124,8 +124,9 @@ struct ServerOptions {
   unsigned jobs = 1;
   /// Concurrent sweep handlers (requests executing at once).
   unsigned handlers = 2;
-  /// Sweeps that may wait beyond the executing ones; 0 rejects whenever
-  /// no handler picks the request up instantly (useful in tests).
+  /// Sweeps that may wait for a handler beyond the executing ones. Every
+  /// sweep enters this queue first, so 0 rejects every sweep with
+  /// "overloaded", even while handlers are idle (useful in tests).
   std::size_t queue_capacity = 64;
   /// Concurrent client connections the socket front end admits; a
   /// connection past the cap gets a typed "overloaded" error frame and

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -171,6 +172,18 @@ TEST(CheckEnable, OverrideBeatsEnvironmentAndRestores) {
   }
   EXPECT_FALSE(enabled());  // restored to the pre-scope override
   clear_enabled_override();
+}
+
+// What a front end does for `--check=0` under ARA_CHECK=1.
+TEST(CheckEnable, DisabledOverrideBeatsEnvironmentOn) {
+  const char* old = std::getenv("ARA_CHECK");
+  const std::string saved = old != nullptr ? old : "";  // "" is off too
+  ::setenv("ARA_CHECK", "1", 1);
+  set_enabled(false);
+  EXPECT_FALSE(enabled());
+  clear_enabled_override();
+  EXPECT_TRUE(enabled());
+  ::setenv("ARA_CHECK", saved.c_str(), 1);
 }
 
 // ------------------------------------------------- simulator observer hook

@@ -263,6 +263,15 @@ TEST(CliOptions, CheckEnvironmentFallbackHonorsTruthiness) {
   }
 }
 
+// `--check=0` switches checking off under ARA_CHECK=1.
+TEST(CliOptions, CheckOffFlagOverridesEnvironmentOn) {
+  ScopedEnv env("ARA_CHECK", "1");
+  Argv a({"--check=0"});
+  const auto opts = CliOptions::parse(a.argc(), a.data(), kAll);
+  ASSERT_TRUE(opts.ok()) << opts.error;
+  EXPECT_FALSE(opts.check);
+}
+
 TEST(CliOptions, HelpListsExactlyTheAcceptedFlags) {
   const std::string all = CliOptions::help(kAll);
   for (const char* flag : {"--jobs", "--metrics", "--trace", "--cache",

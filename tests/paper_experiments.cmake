@@ -2,11 +2,12 @@
 #
 # Runs `ara_paper --metrics <OUT_DIR>/paper.json --cache <OUT_DIR>/cache`
 # at ARA_BENCH_SCALE=0.5 and the default --jobs on an empty cache,
-# validates the export with ara_json_check, checks that the pooled request
-# simulated each distinct point once and stored it, reruns on the warm
-# cache (same stdout, nothing simulated), and compares stdout with
-# EXPERIMENTS.md's generated blocks. A block is the verbatim stdout of one ara_paper id, fenced as
-# text between two markers naming the id:
+# requires every shape claim to hold, validates the export with
+# ara_json_check, checks that the pooled request simulated each distinct
+# point once and stored it, reruns on the warm cache (same stdout and
+# claims, nothing simulated), and compares stdout with EXPERIMENTS.md's
+# generated blocks. A block is the verbatim stdout of one ara_paper id,
+# fenced as text between two markers naming the id:
 #
 #   <!-- BEGIN ara_paper fig01 -->
 #   ```text
@@ -19,8 +20,10 @@
 # into rows. On a difference the script names the first id whose block
 # differs and writes both texts to OUT_DIR. With -DUPDATE=ON it rewrites
 # the blocks from the same run instead of comparing (the one way to
-# regenerate them, say after a dse::kSimVersionSalt bump). It also checks
-# ara_paper's usage errors. Invoked by ctest as:
+# regenerate them, say after a dse::kSimVersionSalt bump), never from a
+# run that exits non-zero, as one with a failed shape claim does. It also
+# checks ara_paper's usage errors and that Fig. 10 at scale 0.05 exits 3
+# naming its failed claims. Invoked by ctest as:
 #   cmake -DPAPER=<ara_paper> -DCHECK=<ara_json_check>
 #         -DEXPERIMENTS=<EXPERIMENTS.md> -DOUT_DIR=<dir> [-DUPDATE=ON]
 #         -P paper_experiments.cmake
@@ -75,6 +78,23 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "--metrics FILE" OR out MATCHES "\\.csv")
                       "got ${rc}:\n${out}\n${err}")
 endif()
 
+# --- the shape claims' negative control ------------------------------------
+# At scale 0.05 Fig. 10 still prints its table, but five of its seven
+# claims fail: ara_paper names each on stderr and exits 3.
+execute_process(
+  COMMAND "${CMAKE_COMMAND}" -E env ARA_BENCH_SCALE=0.05 "${PAPER}" fig10
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+foreach(line "Deblur average ABB utilization in (0.05, 0.35): "
+    "Deblur peak ABB utilization > 0.2: " "Denoise speedup in (2.8, 5.8): "
+    "Segmentation speedup in (19, 40): " "EKF-SLAM speedup in (1.2, 2.5): ")
+  string(FIND "${err}" "[shape] fig10: ${line}" at)
+  if(NOT rc EQUAL 3 OR at EQUAL -1 OR NOT out MATCHES "Figure 10" OR
+     NOT err MATCHES "\\[shape\\] 7 claims, 5 failed\n")
+    message(FATAL_ERROR "ara_paper fig10 at scale 0.05 must print its table, "
+                        "name '${line}' and exit 3, got ${rc}:\n${out}\n${err}")
+  endif()
+endforeach()
+
 # --- the run ---------------------------------------------------------------
 set(ENV{ARA_BENCH_SCALE} 0.5)
 set(metrics "${OUT_DIR}/paper.json")
@@ -86,8 +106,12 @@ execute_process(
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE stdout
   ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "ara_paper failed (${rc}):\n${stdout}\n${err}")
+# Every shape claim holds; the count is pinned, so one added or lost shows.
+set(shape "[shape] 71 claims, 0 failed\n")
+string(FIND "${err}" "${shape}" at)
+if(NOT rc EQUAL 0 OR at EQUAL -1)
+  message(FATAL_ERROR "ara_paper failed (${rc}) or did not report "
+                      "'${shape}':\n${stdout}\n${err}")
 endif()
 # The rows ask for 309 points, 123 of them distinct: each distinct point
 # simulates once and is stored, and every repeat copies it.
@@ -107,9 +131,11 @@ execute_process(
   OUTPUT_VARIABLE warm_stdout
   ERROR_VARIABLE warm_err)
 string(FIND "${warm_err}" "0 simulated, 309 cached, 0 coalesced;" at)
-if(NOT rc EQUAL 0 OR at EQUAL -1)
+string(FIND "${warm_err}" "${shape}" shape_at)
+if(NOT rc EQUAL 0 OR at EQUAL -1 OR shape_at EQUAL -1)
   message(FATAL_ERROR "warm ara_paper --cache must read all 309 points "
-                      "from the cache (${rc}):\n${warm_err}")
+                      "from the cache and report '${shape}' "
+                      "(${rc}):\n${warm_err}")
 endif()
 string(COMPARE EQUAL "${warm_stdout}" "${stdout}" same)
 if(NOT same)
@@ -218,5 +244,5 @@ if(NOT first_diff STREQUAL "")
                       "${OUT_DIR}/paper.stdout.txt (ara_paper)")
 endif()
 message(STATUS "paper experiments ok: ${blocks} EXPERIMENTS.md blocks match "
-               "ara_paper cold and warm, metrics export valid, usage errors "
-               "rejected")
+               "ara_paper cold and warm, every shape claim holds, metrics "
+               "export valid, usage errors rejected")

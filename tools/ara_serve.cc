@@ -38,9 +38,9 @@ void usage() {
       "ara_serve — persistent sweep service over a local socket\n"
       "  --socket PATH    AF_UNIX socket to listen on (required)\n"
       "  --handlers N     concurrent sweep handlers (default 2)\n"
-      "  --queue N        waiting sweeps admitted beyond the executing\n"
-      "                   ones; a full queue rejects with 'overloaded'\n"
-      "                   (default 64)\n"
+      "  --queue N        sweeps that may wait for a handler; a full\n"
+      "                   queue rejects with 'overloaded' (default 64;\n"
+      "                   0 rejects every sweep, even with idle handlers)\n"
       "  --sessions N     concurrent client connections; one past the\n"
       "                   cap is rejected with 'overloaded' and closed\n"
       "                   (default 256)\n"
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << cli.error << "\n";
     return 2;
   }
-  if (cli.check) check::set_enabled(true);
+  check::set_enabled(cli.check);
 
   serve::ServerOptions opts;
   opts.jobs = cli.jobs == 0 ? 1 : cli.jobs;
