@@ -39,7 +39,8 @@ void usage() {
       "  --sharing        enable neighbour SPM sharing\n"
       "  --mono           ARC-style monolithic accelerators\n"
       "  --policy P       GAM policy: fifo | sjf | ljf (default fifo)\n"
-      "  --offline N      take N islands offline mid-run capability demo\n"
+      "  --offline N      take islands 0..N-1 offline before the run\n"
+      "                   (N below the island count)\n"
       "  --scale F        invocation scale factor (default 0.25)\n"
       "  --csv            print the result as a CSV row\n"
       << ara::common::CliOptions::help(ara::common::CliOptions::kMetrics)
@@ -148,11 +149,17 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
+  if (offline >= cfg.num_islands) {
+    // With every island offline no job can ever be placed.
+    std::cerr << "--offline: expected fewer than the design's "
+              << cfg.num_islands << " islands, got " << offline << "\n";
+    return 2;
+  }
   cfg.trace_enabled = !trace_file.empty();
 
   try {
     core::System system(cfg);
-    for (std::uint32_t i = 0; i < offline && i < system.island_count(); ++i) {
+    for (std::uint32_t i = 0; i < offline; ++i) {
       system.composer().set_island_offline(i, true);
     }
     const auto r = system.run(wl);
@@ -172,6 +179,12 @@ int main(int argc, char** argv) {
       t.print_csv(std::cout);
     } else {
       dse::SystemReport(system, r).print(std::cout);
+    }
+    if (const auto* checker = system.checker()) {
+      // Under --csv, stdout stays one CSV table.
+      (csv ? std::cerr : std::cout) << "invariant checker: "
+                                    << checker->checks_passed()
+                                    << " checks passed\n";
     }
 
     if (!trace_file.empty()) {

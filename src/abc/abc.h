@@ -89,8 +89,10 @@ class Abc {
 
   /// Take an island's blocks out of the allocation pool (failure
   /// injection, thermal/dark-silicon capping). In-flight tasks finish;
-  /// future compositions avoid the island. Throws if taking the island
-  /// offline would leave a benchmark kind with zero inventory.
+  /// future compositions avoid the island. Throws ConfigError only for an
+  /// island id out of range: there is no inventory check, so a job that
+  /// needs a kind with no online block never finishes, and System::run
+  /// then throws its "drained with incomplete jobs" ConfigError.
   void set_island_offline(IslandId isl, bool offline);
   bool island_offline(IslandId isl) const { return offline_[isl]; }
 

@@ -47,6 +47,8 @@ class L2Bank {
                       : static_cast<double>(hits_) / static_cast<double>(total);
   }
   std::uint64_t accesses() const { return hits_ + misses_; }
+  /// Fraction of `elapsed` cycles the bank's port was busy.
+  double utilization(Tick elapsed) const { return port_.utilization(elapsed); }
   const std::string& name() const { return port_.name(); }
   const L2BankConfig& config() const { return config_; }
 

@@ -16,8 +16,7 @@ constexpr int kMsDigits = 12;
 
 }  // namespace
 
-std::string RequestLog::format_line(const RequestTrace& trace,
-                                    std::uint64_t slow_ms) {
+std::string RequestLog::format_line(const RequestTrace& trace) {
   std::ostringstream os;
   os << "{\"trace_id\":" << trace.id << ",\"client\":\"";
   json_escape(os, trace.client);
@@ -37,10 +36,7 @@ std::string RequestLog::format_line(const RequestTrace& trace,
      << ",\"miss\":" << trace.misses << ",\"failed\":" << trace.failed
      << "},\"error\":\"";
   json_escape(os, trace.error);
-  os << "\",\"slow\":"
-     << (slow_ms > 0 && trace.total_ns >= slow_ms * 1000000ull ? "true"
-                                                               : "false")
-     << "}";
+  os << "\"}";
   return os.str();
 }
 
@@ -61,7 +57,7 @@ bool RequestLog::ok() const {
 }
 
 bool RequestLog::append(const RequestTrace& trace) {
-  const std::string line = format_line(trace, opts_.slow_ms);
+  const std::string line = format_line(trace);
   common::MutexLock lock(mu_);
   if (!out_) return false;
   if (bytes_ > 0 && bytes_ + line.size() + 1 > opts_.max_bytes) {

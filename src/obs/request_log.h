@@ -3,12 +3,10 @@
 // One RFC 8259-valid JSON object per completed request, appended to a
 // file: trace id, client, workload, per-phase durations (exact integer
 // nanoseconds plus a human-friendly total in ms), per-point outcome
-// counts, the typed error code, and a "slow" flag when the request's
-// total latency crosses the configured threshold. The log is bounded by
-// size-based rotation: when appending would push the file past
-// max_bytes, the current file is renamed to "<path>.1" (replacing any
-// previous rotation) and a fresh file is started — at most ~2x max_bytes
-// on disk, ever.
+// counts and the typed error code. The log is bounded by size-based
+// rotation: when appending would push the file past max_bytes, the
+// current file is renamed to "<path>.1" (replacing any previous rotation)
+// and a fresh file is started — at most ~2x max_bytes on disk, ever.
 //
 // Threading: append() is internally locked (its own mutex — callers hold
 // no server lock while writing, so a slow disk never blocks admission).
@@ -31,9 +29,6 @@ class RequestLog {
     std::string path;
     /// Rotate when an append would push the file past this many bytes.
     std::uint64_t max_bytes = 8u << 20;
-    /// Mark requests slower than this (admission -> response, in
-    /// milliseconds) with "slow":true; 0 never marks.
-    std::uint64_t slow_ms = 0;
   };
 
   explicit RequestLog(Options opts);
@@ -55,8 +50,7 @@ class RequestLog {
 
   /// One trace as its JSONL line (no trailing newline). Exposed for tests
   /// and for tooling that wants the schema without a file.
-  static std::string format_line(const RequestTrace& trace,
-                                 std::uint64_t slow_ms);
+  static std::string format_line(const RequestTrace& trace);
 
  private:
   const Options opts_;

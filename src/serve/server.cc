@@ -23,7 +23,7 @@ Server::Server(const ServerOptions& opts)
       queue_(opts.queue_capacity) {
   if (!opts_.log_path.empty()) {
     log_ = std::make_unique<obs::RequestLog>(obs::RequestLog::Options{
-        opts_.log_path, opts_.log_max_bytes, opts_.slow_ms});
+        opts_.log_path, opts_.log_max_bytes});
   }
 }
 

@@ -138,9 +138,6 @@ struct ServerOptions {
   /// sweep request, rotated at log_max_bytes (see obs::RequestLog).
   std::string log_path;
   std::uint64_t log_max_bytes = 8u << 20;
-  /// Requests slower than this many milliseconds get "slow":true in the
-  /// log (0 = never flag).
-  std::uint64_t slow_ms = 0;
   /// Time source for request spans and the serve.window.* time-series
   /// (null = the host clock; tests inject an obs::FakeClock).
   obs::MonotonicClock* clock = nullptr;

@@ -37,6 +37,8 @@ expect_usage_error("--islands" "${CLI}" --islands banana)
 expect_usage_error("--islands" "${CLI}" --islands 4294967299)
 expect_usage_error("--scale" "${CLI}" --scale x)
 expect_usage_error("scale must be finite" "${CLI}" --scale -1)
+# Taking every island offline (24 by default) would leave no job placeable.
+expect_usage_error("--offline" "${CLI}" --offline 24 --scale 0.01)
 expect_usage_error("unknown benchmark 'Nonesuch'" "${DSE}" Nonesuch)
 expect_usage_error("--jobs" "${DSE}" --jobs 4294967297)
 # The client checks its flags before it connects: each of these would
@@ -108,6 +110,30 @@ foreach(f "${trace_file}" "${metrics_file}")
     message(FATAL_ERROR "ara_sim did not write ${f}")
   endif()
 endforeach()
+
+# The report ends with the Sec. 5.5 verdict: the most saturated resource.
+if(NOT out MATCHES "\nbinding resource: [^\n]+ at [0-9.]+%\n")
+  message(FATAL_ERROR "ara_sim's report names no binding resource:\n${out}")
+endif()
+
+# ara_sim prints the invariant checker's line exactly when checking is
+# armed: with --check, and not when --check=0 overrides ARA_CHECK=1.
+set(small_point --bench Denoise --islands 6 --scale 0.02)
+execute_process(COMMAND "${CLI}" ${small_point} --check
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR
+   NOT out MATCHES "\ninvariant checker: [1-9][0-9]* checks passed\n")
+  message(FATAL_ERROR "ara_sim --check printed no checker line (${rc}):\n"
+                      "${out}\n${err}")
+endif()
+execute_process(
+  COMMAND "${CMAKE_COMMAND}" -E env ARA_CHECK=1 "${CLI}" ${small_point}
+          --check=0
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR out MATCHES "invariant checker")
+  message(FATAL_ERROR "ara_sim --check=0 under ARA_CHECK=1 printed a "
+                      "checker line (${rc}):\n${out}\n${err}")
+endif()
 
 execute_process(
   COMMAND "${CHECK}" "${trace_file}" "${metrics_file}"

@@ -89,10 +89,21 @@ TEST(SystemReport, AggregatesAndPrints) {
   const auto result = sys.run(w);
   dse::SystemReport report(sys, result);
 
-  EXPECT_GT(report.mean_island_ni_utilization(), 0.0);
-  EXPECT_GT(report.mean_dma_utilization(), 0.0);
-  EXPECT_GT(report.mean_mc_utilization(), 0.0);
-  EXPECT_GE(report.mean_tlb_hit_rate(), 0.0);
+  // A ring design has every class but the proxy hub, each busy on average;
+  // classes come most saturated first, ties in Resource order.
+  const auto& classes = report.resources();
+  ASSERT_EQ(classes.size(), 7u);
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    const auto& c = classes[i];
+    EXPECT_GT(c.mean_utilization, 0.0) << resource_name(c.resource);
+    if (i == 0) continue;
+    const auto& prev = classes[i - 1];
+    EXPECT_TRUE(prev.peak_utilization > c.peak_utilization ||
+                (prev.peak_utilization == c.peak_utilization &&
+                 prev.resource < c.resource))
+        << resource_name(prev.resource) << " before "
+        << resource_name(c.resource);
+  }
 
   std::ostringstream os;
   report.print(os);
@@ -100,6 +111,11 @@ TEST(SystemReport, AggregatesAndPrints) {
   EXPECT_NE(out.find("per-island utilization"), std::string::npos);
   EXPECT_NE(out.find("GAM:"), std::string::npos);
   EXPECT_NE(out.find("NoC peak link utilization"), std::string::npos);
+  EXPECT_NE(out.find("binding resource: " +
+                     std::string(resource_name(report.binding().resource)) +
+                     " at " + Table::pct(report.binding().peak_utilization) +
+                     "\n"),
+            std::string::npos);
 }
 
 // ---- CSV ----

@@ -177,7 +177,7 @@ RequestTrace sample_trace() {
 
 TEST(RequestLog, FormatLineIsStrictJsonWithExactDurations) {
   const RequestTrace t = sample_trace();
-  const std::string line = RequestLog::format_line(t, /*slow_ms=*/0);
+  const std::string line = RequestLog::format_line(t);
   std::string err;
   ASSERT_TRUE(validate_json(line, &err)) << err << "\n" << line;
 
@@ -211,16 +211,6 @@ TEST(RequestLog, FormatLineIsStrictJsonWithExactDurations) {
   EXPECT_EQ(outcomes->find("failed")->as_u64(), 0u);
 }
 
-TEST(RequestLog, SlowFlagUsesThreshold) {
-  const RequestTrace t = sample_trace();  // 5 ms total
-  EXPECT_NE(RequestLog::format_line(t, 5).find("\"slow\":true"),
-            std::string::npos);
-  EXPECT_NE(RequestLog::format_line(t, 6).find("\"slow\":false"),
-            std::string::npos);
-  EXPECT_NE(RequestLog::format_line(t, 0).find("\"slow\":false"),
-            std::string::npos);
-}
-
 TEST(RequestLog, AppendsJsonlAndRotatesAtMaxBytes) {
   const std::string dir = ::testing::TempDir() + "ara_request_log";
   std::filesystem::remove_all(dir);
@@ -229,7 +219,7 @@ TEST(RequestLog, AppendsJsonlAndRotatesAtMaxBytes) {
 
   RequestLog::Options opts;
   opts.path = path;
-  const std::string one_line = RequestLog::format_line(sample_trace(), 0);
+  const std::string one_line = RequestLog::format_line(sample_trace());
   // Room for roughly two lines per file, so 6 appends must rotate.
   opts.max_bytes = (one_line.size() + 1) * 2 + 1;
   RequestLog log(opts);

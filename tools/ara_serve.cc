@@ -9,7 +9,7 @@
 // Usage:
 //   ara_serve --socket PATH [--handlers N] [--queue N] [--sessions N]
 //             [--jobs N] [--cache DIR] [--check[=BOOL]]
-//             [--log FILE] [--log-max-bytes N] [--slow-ms N]
+//             [--log FILE] [--log-max-bytes N]
 //
 // SIGTERM/SIGINT trigger a graceful drain: in-flight and queued sweeps
 // finish (their responses are delivered), new sweeps are rejected with a
@@ -46,8 +46,6 @@ void usage() {
       "                   (default 256)\n"
       "  --log-max-bytes N  rotate the --log file past this size\n"
       "                   (default 8 MiB; previous file kept as FILE.1)\n"
-      "  --slow-ms N      flag requests slower than N ms with\n"
-      "                   \"slow\":true in the log (default 0 = never)\n"
       << ara::common::CliOptions::help(ara::common::CliOptions::kJobs |
                                        ara::common::CliOptions::kCache |
                                        ara::common::CliOptions::kCheck |
@@ -106,8 +104,6 @@ int main(int argc, char** argv) {
       opts.max_sessions = count(SIZE_MAX);
     } else if (arg == "--log-max-bytes") {
       opts.log_max_bytes = count(UINT64_MAX);
-    } else if (arg == "--slow-ms") {
-      opts.slow_ms = count(UINT64_MAX);
     } else {
       std::cerr << "unknown option '" << arg << "' (see --help)\n";
       return 2;
