@@ -7,7 +7,7 @@
 //   ara_sim [--bench NAME] [--islands N] [--net ring|proxy|chain]
 //           [--rings N] [--width BYTES] [--ports 1|2] [--sharing]
 //           [--scale F] [--mono] [--csv] [--trace FILE] [--metrics FILE]
-//           [--offline N] [--policy fifo|sjf|ljf] [--list]
+//           [--offline N] [--list]
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -38,15 +38,37 @@ void usage() {
       "  --ports M        SPM port multiplier 1|2 (default 1)\n"
       "  --sharing        enable neighbour SPM sharing\n"
       "  --mono           ARC-style monolithic accelerators\n"
-      "  --policy P       GAM policy: fifo | sjf | ljf (default fifo)\n"
       "  --offline N      take islands 0..N-1 offline before the run\n"
-      "                   (N below the island count)\n"
+      "                   (islands N and up must hold a block of every\n"
+      "                   kind the benchmark uses)\n"
       "  --scale F        invocation scale factor (default 0.25)\n"
       "  --csv            print the result as a CSV row\n"
       << ara::common::CliOptions::help(ara::common::CliOptions::kMetrics)
       << "                   (a FILE ending in .csv gets CSV instead)\n"
       << ara::common::CliOptions::help(ara::common::CliOptions::kTrace |
                                        ara::common::CliOptions::kCheck);
+}
+
+/// The name of a block kind some task of `dfg` runs on that no island
+/// from `first` up has, or nullptr when every task has one.
+const char* missing_kind(ara::core::System& system,
+                         const ara::dataflow::Dfg& dfg, std::uint32_t first) {
+  for (const auto& node : dfg.nodes()) {
+    bool found = false;
+    for (std::size_t i = first; i < system.island_count() && !found; ++i) {
+      const auto& isl = system.island(static_cast<ara::IslandId>(i));
+      for (ara::AbbId a = 0; a < isl.num_abbs() && !found; ++a) {
+        const auto& e = isl.engine(a);
+        found = node.needs_fabric
+                    ? e.is_fabric()
+                    : !e.is_fabric() && e.kind() == node.kind;
+      }
+    }
+    if (!found) {
+      return node.needs_fabric ? "fabric" : ara::abb::kind_name(node.kind);
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -119,8 +141,6 @@ int main(int argc, char** argv) {
       spec.sharing = true;
     } else if (arg == "--mono") {
       spec.mono = true;
-    } else if (arg == "--policy") {
-      spec.policy = next();
     } else if (arg == "--offline") {
       offline = static_cast<std::uint32_t>(count(UINT32_MAX));
     } else if (arg == "--scale") {
@@ -144,21 +164,22 @@ int main(int argc, char** argv) {
     cfg = spec.to_config();
     wl = workloads::make_benchmark(bench, scale);
   } catch (const ConfigError& e) {
-    // Bad knob value (unknown benchmark, net or policy name, or a scale
+    // Bad knob value (unknown benchmark or net name, or a scale
     // make_benchmark rejects) is a usage error, same as an unknown flag.
     std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  if (offline >= cfg.num_islands) {
-    // With every island offline no job can ever be placed.
-    std::cerr << "--offline: expected fewer than the design's "
-              << cfg.num_islands << " islands, got " << offline << "\n";
     return 2;
   }
   cfg.trace_enabled = !trace_file.empty();
 
   try {
     core::System system(cfg);
+    // A task whose block kind is on no online island can never be placed,
+    // so its job would never finish: reject the count before simulating.
+    if (const char* kind = missing_kind(system, wl.dfg, offline)) {
+      std::cerr << "--offline " << offline << " leaves no online " << kind
+                << " block, which " << bench << " uses\n";
+      return 2;
+    }
     for (std::uint32_t i = 0; i < offline; ++i) {
       system.composer().set_island_offline(i, true);
     }

@@ -74,7 +74,9 @@ SystemReport::SystemReport(core::System& system,
     islands_.push_back(row);
     add(Resource::kNocInterface, row.ni_util);
     add(Resource::kDmaEngine, row.dma_util);
-    add(Resource::kAbbCompute, row.peak_abb_util);
+    for (AbbId a = 0; a < isl.num_abbs(); ++a) {
+      add(Resource::kAbbCompute, isl.engine(a).utilization(span));
+    }
     if (const auto* px =
             dynamic_cast<const island::ProxyXbarNet*>(&isl.net())) {
       add(Resource::kIslandNetHub, px->dma_hub_utilization(span));
@@ -83,7 +85,20 @@ SystemReport::SystemReport(core::System& system,
       add(Resource::kIslandNetRing, rn->max_link_utilization(span));
     }
   }
-  add(Resource::kNocLinks, result.noc_peak_link_utilization);
+  // One instance per inter-router link: each output port that has a
+  // neighbour. Local (ejection) ports belong to the island interface or
+  // to the L2/MC classes.
+  const auto& mesh = system.mesh();
+  for (NodeId n = 0; n < mesh.node_count(); ++n) {
+    const noc::Router& r = mesh.router(n);
+    const auto link = [&](noc::Direction d, bool has_neighbour) {
+      if (has_neighbour) add(Resource::kNocLinks, r.port(d).utilization(span));
+    };
+    link(noc::Direction::kEast, r.x() + 1 < mesh.width());
+    link(noc::Direction::kWest, r.x() > 0);
+    link(noc::Direction::kNorth, r.y() > 0);
+    link(noc::Direction::kSouth, r.y() + 1 < mesh.height());
+  }
 
   auto& mem = system.memory();
   for (std::size_t m = 0; m < mem.controller_count(); ++m) {
@@ -130,9 +145,7 @@ void SystemReport::print(std::ostream& os) const {
   os << "\nmemory system: L2 hit " << Table::pct(result_.l2_hit_rate)
      << ", MC util";
   for (double u : mc_util_) os << " " << Table::pct(u);
-  os << "\nNoC peak link utilization: "
-     << Table::pct(result_.noc_peak_link_utilization) << "\n";
-  os << "GAM: " << gam_requests_ << " requests, " << gam_queued_
+  os << "\nGAM: " << gam_requests_ << " requests, " << gam_queued_
      << " queued, " << interrupts_ << " interrupts delivered\n";
 
   // Chip-level latency distributions from the stat registry (the per-id

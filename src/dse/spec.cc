@@ -1,7 +1,5 @@
 #include "dse/spec.h"
 
-#include <sstream>
-
 #include "common/config_error.h"
 
 namespace ara::dse {
@@ -22,25 +20,7 @@ core::ArchConfig PointSpec::to_config() const {
   cfg.island.spm_port_multiplier = ports;
   cfg.island.spm_sharing = sharing;
   if (mono) cfg.mode = abc::ExecutionMode::kMonolithic;
-  if (policy == "sjf") {
-    cfg.gam_policy = abc::GamPolicy::kShortestFirst;
-  } else if (policy == "ljf") {
-    cfg.gam_policy = abc::GamPolicy::kLargestFirst;
-  } else {
-    config_check(policy == "fifo", "unknown GAM policy '" + policy +
-                                       "' (expected fifo|sjf|ljf)");
-    cfg.gam_policy = abc::GamPolicy::kFifo;
-  }
   return cfg;
-}
-
-std::string PointSpec::label() const {
-  std::ostringstream os;
-  os << "islands=" << islands << ",net=" << net << ",rings=" << rings
-     << ",width=" << link_bytes << ",ports=" << ports
-     << ",sharing=" << (sharing ? 1 : 0) << ",mono=" << (mono ? 1 : 0)
-     << ",policy=" << policy;
-  return os.str();
 }
 
 }  // namespace ara::dse

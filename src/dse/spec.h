@@ -1,14 +1,17 @@
 // dse::PointSpec — the one source of truth for "a design point named by
 // user-facing knobs" and for turning it into an ArchConfig.
 //
-// Two front ends name design points with the same eight knobs: the ara_sim
+// Two front ends name design points with the same seven knobs: the ara_sim
 // CLI flags and the ara_serve wire protocol's "points" objects. Before
 // this module each kept its own copy of the knob->ArchConfig
 // construction; PointSpec is the single copy both consume, so a new
 // ArchConfig dimension is added here once and every front end picks it
 // up. The field defaults ARE the product defaults (24-island 2-ring 32B
-// ring design, 1x ports, no sharing, composable mode, fifo GAM) — CLI
-// help and protocol docs both derive from these initializers.
+// ring design, 1x ports, no sharing, composable mode) — CLI help and
+// protocol docs both derive from these initializers. The GAM policy is
+// not a knob: every workload a front end can name has one DFG, so the
+// GAM's size-ordered policies always admit the queue head, as fifo does
+// (ArchConfig::gam_policy stays for ablation 4 and the fuzzer).
 //
 // to_config() builds the ArchConfig exactly the way the ara_sim flag
 // parser historically did (base ring_design, then per-knob overrides, in
@@ -33,21 +36,11 @@ struct PointSpec {
   std::uint32_t ports = 1;
   bool sharing = false;
   bool mono = false;
-  std::string policy = "fifo";  // fifo | sjf | ljf
 
   /// Build the ArchConfig the way ara_sim's flag parser would (base
-  /// ring_design, then overrides). Throws ConfigError on an unknown
-  /// net/policy name; the result still needs ArchConfig::validate().
+  /// ring_design, then overrides). Throws ConfigError on an unknown net
+  /// name; the result still needs ArchConfig::validate().
   core::ArchConfig to_config() const;
-
-  /// Canonical one-line name of the point, every knob spelled out in
-  /// declaration order ("islands=24,net=ring,rings=2,width=32,ports=1,
-  /// sharing=0,mono=0,policy=fifo"). Two specs are the same design point
-  /// iff their labels match. ara_analyze's protocol-drift analysis reads
-  /// the "key=" names here as the point dimensions the wire protocol
-  /// must parse, so a knob added to PointSpec but not to the protocol's
-  /// point parser is a finding.
-  std::string label() const;
 };
 
 }  // namespace ara::dse

@@ -3,10 +3,7 @@
 //
 // The entry point is dse::run(SweepRequest): a request names the
 // (config, workload) pairs, the worker count, and (optionally) a
-// ResultCache to memoize points through. The pre-PR-3 run_point/run_sweep
-// shims have been removed — DESIGN.md "SweepRequest migration" keeps the
-// old-to-new call map, and ara_analyze's no-deprecated-api rule keeps the
-// identifiers from coming back.
+// ResultCache to memoize points through.
 #pragma once
 
 #include <cstdint>

@@ -121,8 +121,7 @@ bool parse_point(const obs::JsonValue& obj, PointSpec* out,
                   take_u64(obj, "width", &p.link_bytes) &&
                   take_u32(obj, "ports", &p.ports) &&
                   take_bool(obj, "sharing", &p.sharing) &&
-                  take_bool(obj, "mono", &p.mono) &&
-                  take_string(obj, "policy", &p.policy);
+                  take_bool(obj, "mono", &p.mono);
   if (!ok) {
     *error = "point field has the wrong JSON type or is out of range";
     return false;

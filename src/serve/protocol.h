@@ -18,12 +18,14 @@
 //   {"type":"stats"}
 //   {"type":"sweep", "client":"alice", "workload":"Denoise",
 //    "scale":0.05, "points":[{"islands":6,"net":"ring","rings":2,
-//    "width":32,"ports":1,"sharing":false,"mono":false,"policy":"fifo"}]}
+//    "width":32,"ports":1,"sharing":false,"mono":false}]}
 //
 // Every point field is optional; the defaults are dse::PointSpec's (the
 // shared spec module — they mirror the ara_sim CLI: 24-island 2-ring 32B
-// design, fifo GAM, no sharing, 1x ports). "points" itself defaults to
-// one default point, "client" (the fairness bucket) to "anon".
+// design, no sharing, 1x ports). "points" itself defaults to one default
+// point, "client" (the fairness bucket) to "anon". Fields the parser does
+// not read are ignored, so an older client's "policy" or "shards" still
+// parses to the same point.
 // PointSpec::to_config builds the ArchConfig exactly the way ara_sim's
 // flag parser does, so a served point and a CLI run of the same spec are
 // the same design point — and therefore, through dse::run, the same bits.

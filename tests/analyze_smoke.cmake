@@ -9,10 +9,8 @@
 # PART=cross-file (ctest analyze_smoke): the seeded bad/ twin must fail
 # with every cross-file analysis represented, the corrected good/ twin
 # must pass, --json over per-file and cross-file findings together must
-# be strict RFC 8259, --write-baseline followed by --baseline must
-# round-trip to a clean run, a stale baseline entry must itself fail the
-# gate, --list-rules must name every analysis and --help must print the
-# usage.
+# be strict RFC 8259, --list-rules must name every analysis and --help
+# must print the usage.
 #
 # Invoked as:
 #   cmake -DPART=per-file -DANALYZE=<ara_analyze> -DCHECK=<ara_json_check>
@@ -84,10 +82,10 @@ endfunction()
 
 set(per_file_rules
     no-rand no-wall-clock no-unordered-iter no-raw-new-delete
-    layering no-naked-lock no-deprecated-api bad-suppression)
+    layering no-naked-lock bad-suppression)
 set(cross_file_rules
-    include-cycle transitive-layering lock-order stat-grammar
-    stat-undocumented stat-phantom proto-unproduced)
+    include-cycle transitive-layering stat-grammar stat-undocumented
+    stat-phantom)
 
 if(PART STREQUAL "per-file")
   # 1. The per-file fixture corpus fails the gate, every rule shows up by
@@ -124,26 +122,15 @@ else()
   # JSON value.
   check_json(analyze_findings ${bad} "${LINT_FIXTURES}")
 
-  # 4. --write-baseline then --baseline round-trips to a clean gate.
-  set(baseline_file "${OUT_DIR}/analyze_baseline.txt")
-  run_analyze(0 --write-baseline "${baseline_file}" ${bad})
-  run_analyze(0 --baseline "${baseline_file}" ${bad})
-
-  # 5. A stale baseline entry is itself a finding (baselines cannot rot).
-  file(APPEND "${baseline_file}"
-      "include-cycle:never/was/a.h <-> never/was/b.h\n")
-  run_analyze(1 --baseline "${baseline_file}" ${bad})
-  expect_rules("${out}" "stale baseline findings" stale-baseline)
-
-  # 6. --help prints the usage and exits 0.
+  # 4. --help prints the usage and exits 0.
   run_analyze(0 --help)
   if(NOT out MATCHES "^usage: ")
     message(FATAL_ERROR "ara_analyze --help printed no usage:\n${out}")
   endif()
 
-  # 7. --list-rules names every analysis.
+  # 5. --list-rules names every analysis.
   run_analyze(0 --list-rules)
-  set(listed_rules ${cross_file_rules} stale-baseline)
+  set(listed_rules ${cross_file_rules})
 endif()
 
 foreach(rule ${listed_rules})

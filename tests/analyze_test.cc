@@ -1,9 +1,9 @@
 // ara_analyze engine tests. The in-memory cases pin the lexer (comments,
 // raw strings with prefixes, backslash-newline splices), each cross-file
-// analysis in isolation and the split between allow() suppression and
-// the baseline; the fixture cases prove every analysis both fires on the
-// seeded violation in tests/analyze_fixtures/bad/ and stays silent on the
-// corrected twin in good/ (tests/lint_test.cc covers the per-file rules,
+// analysis in isolation and allow()'s reach (per-file rules only); the
+// fixture cases prove every analysis both fires on the seeded violation
+// in tests/analyze_fixtures/bad/ and stays silent on the corrected twin in
+// good/ (tests/lint_test.cc covers the per-file rules,
 // tests/analyze_smoke.cmake the CLI contract).
 #include <gtest/gtest.h>
 
@@ -155,79 +155,6 @@ TEST(AnalyzeIncludes, ClosureOfTheLayerMatrixIsLegal) {
   EXPECT_TRUE(findings.empty());
 }
 
-// ----------------------------------------------------------- lock order
-
-constexpr const char* kDrainThenRefill =
-    "void Pool::drain() {\n"
-    "  common::MutexLock a(mu_a_);\n"
-    "  common::MutexLock b(mu_b_);\n"
-    "}\n";
-
-TEST(AnalyzeLockOrder, OppositeOrdersAreACycle) {
-  Corpus corpus;
-  add_source(&corpus, "src/core/locks.cc",
-             std::string(kDrainThenRefill) +
-                 "void Pool::refill() {\n"
-                 "  common::MutexLock b(mu_b_);\n"
-                 "  common::MutexLock a(mu_a_);\n"
-                 "}\n");
-  std::vector<Finding> findings;
-  analyze_lock_order(corpus, &findings);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "lock-order");
-  EXPECT_NE(findings[0].key.find("Pool::mu_a_"), std::string::npos);
-  EXPECT_NE(findings[0].key.find("Pool::mu_b_"), std::string::npos);
-}
-
-TEST(AnalyzeLockOrder, ConsistentOrderIsSilent) {
-  Corpus corpus;
-  add_source(&corpus, "src/core/locks.cc",
-             std::string(kDrainThenRefill) +
-                 "void Pool::refill() {\n"
-                 "  common::MutexLock a(mu_a_);\n"
-                 "  common::MutexLock b(mu_b_);\n"
-                 "}\n");
-  std::vector<Finding> findings;
-  analyze_lock_order(corpus, &findings);
-  EXPECT_TRUE(findings.empty());
-}
-
-TEST(AnalyzeLockOrder, GuardScopeEndsAtTheClosingBrace) {
-  // mu_b_ is taken after mu_a_'s guard block closed: no edge, no cycle
-  // even though the reverse order appears elsewhere.
-  Corpus corpus;
-  add_source(&corpus, "src/core/locks.cc",
-             "void Pool::drain() {\n"
-             "  { common::MutexLock a(mu_a_); }\n"
-             "  common::MutexLock b(mu_b_);\n"
-             "}\n"
-             "void Pool::refill() {\n"
-             "  common::MutexLock b(mu_b_);\n"
-             "  common::MutexLock a(mu_a_);\n"
-             "}\n");
-  std::vector<Finding> findings;
-  analyze_lock_order(corpus, &findings);
-  EXPECT_TRUE(findings.empty());
-}
-
-TEST(AnalyzeLockOrder, CrossClassCycleSpansFiles) {
-  Corpus corpus;
-  add_source(&corpus, "src/serve/server.cc",
-             "void Server::submit() {\n"
-             "  common::MutexLock l(mu_);\n"
-             "  common::MutexLock c(cache_mu_);\n"
-             "}\n");
-  add_source(&corpus, "src/serve/cache.cc",
-             "void Server::evict() {\n"
-             "  common::MutexLock c(cache_mu_);\n"
-             "  common::MutexLock l(mu_);\n"
-             "}\n");
-  std::vector<Finding> findings;
-  analyze_lock_order(corpus, &findings);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "lock-order");
-}
-
 // ---------------------------------------------------------------- stats
 
 TEST(AnalyzeStats, GrammarViolationsFire) {
@@ -294,139 +221,7 @@ TEST(AnalyzeStats, FencedCodeBlocksAndFilenamesAreNotClaims) {
   EXPECT_TRUE(findings.empty());
 }
 
-// ------------------------------------------------------------- protocol
-
-Corpus proto_corpus(const std::string& server_body) {
-  Corpus corpus;
-  add_source(&corpus, "src/serve/protocol.cc", server_body);
-  add_source(&corpus, "tools/ara_serve_client.cc",
-             "std::string build() {\n"
-             "  return \"{\\\"type\\\":\\\"ping\\\","
-             "\\\"workload\\\":\\\"x\\\"}\";\n"
-             "}\n"
-             "int code(const JsonValue& v) {\n"
-             "  const JsonValue* c = v.find(\"code\");\n"
-             "  return 0;\n"
-             "}\n");
-  add_source(&corpus, "src/dse/spec.cc",
-             "std::string PointSpec::label() const {\n"
-             "  return \"islands=\" + std::to_string(islands);\n"
-             "}\n");
-  return corpus;
-}
-
-constexpr const char* kBalancedServer =
-    "bool parse(const JsonValue& root) {\n"
-    "  take_string(root, \"type\", &t);\n"
-    "  take_string(root, \"workload\", &w);\n"
-    "  take_u32(root, \"islands\", &i);\n"
-    "  return true;\n"
-    "}\n"
-    "std::string pong() { return \"{\\\"type\\\":\\\"pong\\\","
-    "\\\"code\\\":0}\"; }\n";
-
-TEST(AnalyzeProtocol, BalancedSurfacesAreSilent) {
-  Corpus corpus = proto_corpus(kBalancedServer);
-  std::vector<Finding> findings;
-  analyze_protocol(corpus, &findings);
-  EXPECT_TRUE(findings.empty());
-}
-
-TEST(AnalyzeProtocol, ParsedButNeverProducedFires) {
-  Corpus corpus = proto_corpus(
-      "bool parse(const JsonValue& root) {\n"
-      "  take_string(root, \"type\", &t);\n"
-      "  take_string(root, \"workload\", &w);\n"
-      "  take_u32(root, \"islands\", &i);\n"
-      "  take_u32(root, \"ghost\", &g);\n"
-      "  return true;\n"
-      "}\n"
-      "std::string pong() { return \"{\\\"type\\\":\\\"pong\\\","
-      "\\\"code\\\":0}\"; }\n");
-  std::vector<Finding> findings;
-  analyze_protocol(corpus, &findings);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].key, "proto-unproduced:ghost");
-  EXPECT_EQ(findings[0].file, "src/serve/protocol.cc");
-}
-
-TEST(AnalyzeProtocol, ClientReadingUnproducedFieldFires) {
-  Corpus corpus;
-  add_source(&corpus, "src/serve/protocol.cc", kBalancedServer);
-  add_source(&corpus, "tools/ara_serve_client.cc",
-             "std::string build() {\n"
-             "  return \"{\\\"type\\\":\\\"ping\\\","
-             "\\\"workload\\\":\\\"x\\\",\\\"islands\\\":1}\";\n"
-             "}\n"
-             "int f(const JsonValue& v) {\n"
-             "  const JsonValue* s = v.find(\"surprise\");\n"
-             "  return 0;\n"
-             "}\n");
-  std::vector<Finding> findings;
-  analyze_protocol(corpus, &findings);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].key, "proto-unparsed:surprise");
-}
-
-TEST(AnalyzeProtocol, PartialCorpusStaysSilent) {
-  // Unit-test corpora that hold only one end of the wire must not report
-  // the missing half as drift.
-  Corpus corpus;
-  add_source(&corpus, "src/serve/protocol.cc", kBalancedServer);
-  std::vector<Finding> findings;
-  analyze_protocol(corpus, &findings);
-  EXPECT_TRUE(findings.empty());
-}
-
-// ----------------------------------------------- baseline + renderers
-
-TEST(AnalyzeBaseline, BaselinedKeysAreCountedAndStaleOnesReported) {
-  Corpus corpus;
-  add_source(&corpus, "src/sim/a.h", "#include \"sim/b.h\"\n");
-  add_source(&corpus, "src/sim/b.h", "#include \"sim/a.h\"\n");
-  const std::set<std::string> baseline = parse_baseline(
-      "# comment\n"
-      "include-cycle:src/sim/a.h <-> src/sim/b.h  # trailing comment\n"
-      "stale-entry:never-matches\n");
-  const AnalyzeResult result = analyze(corpus, baseline, "baseline.txt");
-  EXPECT_EQ(result.baselined, 1u);
-  ASSERT_EQ(result.findings.size(), 1u);
-  EXPECT_EQ(result.findings[0].rule, "stale-baseline");
-  EXPECT_EQ(result.findings[0].file, "baseline.txt");
-}
-
-TEST(AnalyzeBaseline, WriteThenReadRoundTripsToClean) {
-  Corpus corpus;
-  add_source(&corpus, "src/sim/a.h", "#include \"sim/b.h\"\n");
-  add_source(&corpus, "src/sim/b.h", "#include \"sim/a.h\"\n");
-  const AnalyzeResult first = analyze(corpus, {});
-  ASSERT_FALSE(first.findings.empty());
-  const std::set<std::string> baseline =
-      parse_baseline(to_baseline(first));
-  const AnalyzeResult second = analyze(corpus, baseline, "baseline.txt");
-  EXPECT_TRUE(second.findings.empty());
-  EXPECT_EQ(second.baselined, first.findings.size());
-}
-
-// A per-file finding answers to allow() comments only: it carries no key,
-// so --write-baseline leaves it out and no baseline can silence it.
-TEST(AnalyzeBaseline, PerFileFindingsNeverEnterTheBaseline) {
-  Corpus corpus;
-  add_source(&corpus, "src/sim/x.cc", "int x = rand();\n");
-  const AnalyzeResult first = analyze(corpus, {});
-  ASSERT_EQ(first.findings.size(), 1u);
-  EXPECT_EQ(first.findings[0].rule, "no-rand");
-  EXPECT_TRUE(first.findings[0].key.empty());
-  const std::string body = to_baseline(first);
-  EXPECT_EQ(body.find("no-rand"), std::string::npos) << body;
-
-  const AnalyzeResult second =
-      analyze(corpus, parse_baseline(body), "baseline.txt");
-  ASSERT_EQ(second.findings.size(), 1u);
-  EXPECT_EQ(second.findings[0].rule, "no-rand");
-  EXPECT_EQ(second.baselined, 0u);
-  EXPECT_EQ(second.suppressed, 0u);
-}
+// ------------------------------------------------------ allow + renderers
 
 // allow() accepts per-file rule ids only: naming a cross-file analysis is
 // a bad-suppression, and the cross-file finding stays.
@@ -436,7 +231,7 @@ TEST(AnalyzeBaseline, AllowNamingACrossFileRuleIsABadSuppression) {
              "void f(StatRegistry& s) {\n"
              "  s.counter(\"BadName\", 1);  // ara-lint: allow(stat-grammar)\n"
              "}\n");
-  const AnalyzeResult result = analyze(corpus, {});
+  const AnalyzeResult result = analyze(corpus);
   EXPECT_EQ(finding_rules(result.findings),
             (std::set<std::string>{"bad-suppression", "stat-grammar"}));
   ASSERT_EQ(result.findings.size(), 2u);
@@ -452,7 +247,7 @@ TEST(AnalyzeRender, JsonIsStrictRfc8259) {
              "}\n");
   add_source(&corpus, "src/sim/a.h", "#include \"sim/b.h\"\n");
   add_source(&corpus, "src/sim/b.h", "#include \"sim/a.h\"\n");
-  const AnalyzeResult result = analyze(corpus, {});
+  const AnalyzeResult result = analyze(corpus);
   ASSERT_FALSE(result.findings.empty());
   std::string error;
   EXPECT_TRUE(obs::validate_json(to_json(result), &error)) << error;
@@ -472,17 +267,16 @@ TEST(AnalyzeRules, CatalogIsSortedAndCoversEveryEmittedRule) {
     }
     (catalog[i].per_file ? per_file : cross_file).insert(catalog[i].id);
   }
-  EXPECT_EQ(catalog.size(), 17u);
+  EXPECT_EQ(catalog.size(), 12u);
   EXPECT_EQ(per_file,
-            (std::set<std::string>{
-                "bad-suppression", "layering", "no-deprecated-api",
-                "no-naked-lock", "no-rand", "no-raw-new-delete",
-                "no-unordered-iter", "no-wall-clock"}));
+            (std::set<std::string>{"bad-suppression", "layering",
+                                   "no-naked-lock", "no-rand",
+                                   "no-raw-new-delete", "no-unordered-iter",
+                                   "no-wall-clock"}));
   EXPECT_EQ(cross_file,
-            (std::set<std::string>{
-                "include-cycle", "lock-order", "proto-unparsed",
-                "proto-unproduced", "stale-baseline", "stat-grammar",
-                "stat-phantom", "stat-undocumented", "transitive-layering"}));
+            (std::set<std::string>{"include-cycle", "stat-grammar",
+                                   "stat-phantom", "stat-undocumented",
+                                   "transitive-layering"}));
 }
 
 // ------------------------------------------------------ fixture corpus
@@ -490,29 +284,27 @@ TEST(AnalyzeRules, CatalogIsSortedAndCoversEveryEmittedRule) {
 TEST(AnalyzeFixtures, BadTwinFiresEveryAnalysis) {
   const std::string root = fixture_root("bad");
   const Corpus corpus = load_corpus({root}, {root + "/DESIGN.md"});
-  ASSERT_EQ(corpus.files.size(), 10u);
+  ASSERT_EQ(corpus.files.size(), 6u);
   ASSERT_EQ(corpus.docs.size(), 1u);
-  const AnalyzeResult result = analyze(corpus, {});
+  const AnalyzeResult result = analyze(corpus);
   EXPECT_EQ(finding_rules(result.findings),
             (std::set<std::string>{"include-cycle", "transitive-layering",
-                                   "lock-order", "stat-grammar",
-                                   "stat-undocumented", "stat-phantom",
-                                   "proto-unproduced"}));
-  EXPECT_EQ(result.findings.size(), 7u);
+                                   "stat-grammar", "stat-undocumented",
+                                   "stat-phantom"}));
+  EXPECT_EQ(result.findings.size(), 5u);
   // Keys are stable rel-paths: independent of where the checkout lives.
   const std::set<std::string> keys = finding_keys(result.findings);
   EXPECT_TRUE(keys.count("transitive-layering:src/sim/engine.cc:serve"));
   EXPECT_TRUE(keys.count("include-cycle:src/sim/cycle_a.h <-> "
                          "src/sim/cycle_b.h"));
-  EXPECT_TRUE(keys.count("proto-unproduced:ghost"));
   EXPECT_TRUE(keys.count("stat-undocumented:sim.fixture.ghostly"));
 }
 
 TEST(AnalyzeFixtures, GoodTwinIsCompletelySilent) {
   const std::string root = fixture_root("good");
   const Corpus corpus = load_corpus({root}, {root + "/DESIGN.md"});
-  ASSERT_EQ(corpus.files.size(), 10u);
-  const AnalyzeResult result = analyze(corpus, {});
+  ASSERT_EQ(corpus.files.size(), 6u);
+  const AnalyzeResult result = analyze(corpus);
   EXPECT_TRUE(result.findings.empty())
       << to_text(result);
 }

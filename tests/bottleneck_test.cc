@@ -13,6 +13,15 @@
 namespace ara {
 namespace {
 
+/// The report's row for `resource`, or nullptr when the design lacks it.
+const dse::SystemReport::ResourceUse* class_use(
+    const dse::SystemReport& report, dse::Resource resource) {
+  for (const auto& c : report.resources()) {
+    if (c.resource == resource) return &c;
+  }
+  return nullptr;
+}
+
 TEST(Bottleneck, ProxyHubBindsChainingHeavyAt3Islands) {
   // Sec. 5.5: chaining through the proxy crossbar serializes on the DMA
   // hub for large islands.
@@ -93,13 +102,82 @@ TEST(Bottleneck, L2PortClassReadsTheBankPorts) {
     busiest = std::max(busiest, mem.l2_bank(b).utilization(r.makespan));
   }
   ASSERT_GT(busiest, 0.0);
-  const auto& classes = report.resources();
-  const auto l2 = std::find_if(classes.begin(), classes.end(),
-                               [](const dse::SystemReport::ResourceUse& c) {
-                                 return c.resource == dse::Resource::kL2Port;
-                               });
-  ASSERT_NE(l2, classes.end());
+  const auto* l2 = class_use(report, dse::Resource::kL2Port);
+  ASSERT_NE(l2, nullptr);
   EXPECT_EQ(l2->peak_utilization, busiest);
+}
+
+TEST(Bottleneck, MeshLinkClassIsEveryInterRouterPort) {
+  // Each output port toward a neighbouring router is one instance; local
+  // (ejection) ports are not, so the mean is not the peak.
+  core::System sys(core::ArchConfig::ring_design(3, 2, 32));
+  auto w = workloads::make_benchmark("EKF-SLAM", 0.1);
+  const auto r = sys.run(w);
+  const dse::SystemReport report(sys, r);
+
+  const auto& mesh = sys.mesh();
+  double peak = 0, sum = 0;
+  std::size_t links = 0;
+  struct Step {
+    noc::Direction dir;
+    int dx, dy;
+  };
+  for (NodeId n = 0; n < mesh.node_count(); ++n) {
+    for (const Step s : {Step{noc::Direction::kEast, 1, 0},
+                         Step{noc::Direction::kWest, -1, 0},
+                         Step{noc::Direction::kNorth, 0, -1},
+                         Step{noc::Direction::kSouth, 0, 1}}) {
+      const int x = static_cast<int>(mesh.x_of(n)) + s.dx;
+      const int y = static_cast<int>(mesh.y_of(n)) + s.dy;
+      if (x < 0 || y < 0 || x >= static_cast<int>(mesh.width()) ||
+          y >= static_cast<int>(mesh.height())) {
+        continue;
+      }
+      const double u = mesh.router(n).port(s.dir).utilization(r.makespan);
+      peak = std::max(peak, u);
+      sum += u;
+      ++links;
+    }
+  }
+  ASSERT_EQ(links, 2u * 2u * 8u * 7u);  // 8x8 mesh, both directions
+  const auto* noc = class_use(report, dse::Resource::kNocLinks);
+  ASSERT_NE(noc, nullptr);
+  EXPECT_DOUBLE_EQ(noc->peak_utilization, peak);
+  EXPECT_NEAR(noc->mean_utilization, sum / static_cast<double>(links), 1e-12);
+  EXPECT_LT(noc->mean_utilization, noc->peak_utilization);
+  EXPECT_LE(noc->peak_utilization, r.noc_peak_link_utilization);
+
+  // The report prints the class once, in the resource table.
+  std::ostringstream os;
+  report.print(os);
+  EXPECT_EQ(os.str().find("NoC peak link utilization"), std::string::npos);
+}
+
+TEST(Bottleneck, AbbComputeMeanIsOverEveryAbb) {
+  // Each ABB is one instance: the mean is the chip's mean ABB utilization
+  // (the per-island "ABB avg" column weighted by block count), not a mean
+  // of per-island peaks.
+  core::System sys(core::ArchConfig::paper_baseline(24));
+  auto w = workloads::make_benchmark("Deblur", 0.05);
+  const auto r = sys.run(w);
+  const dse::SystemReport report(sys, r);
+
+  double peak = 0, sum = 0, peak_sum = 0;
+  std::size_t abbs = 0;
+  for (IslandId i = 0; i < sys.island_count(); ++i) {
+    const auto& isl = sys.island(i);
+    peak = std::max(peak, isl.peak_abb_utilization(r.makespan));
+    peak_sum += isl.peak_abb_utilization(r.makespan);
+    sum += isl.avg_abb_utilization(r.makespan) * isl.num_abbs();
+    abbs += isl.num_abbs();
+  }
+  ASSERT_EQ(abbs, 120u);
+  const auto* abb = class_use(report, dse::Resource::kAbbCompute);
+  ASSERT_NE(abb, nullptr);
+  EXPECT_DOUBLE_EQ(abb->peak_utilization, peak);
+  EXPECT_NEAR(abb->mean_utilization, sum / static_cast<double>(abbs), 1e-12);
+  EXPECT_LT(abb->mean_utilization,
+            peak_sum / static_cast<double>(sys.island_count()));
 }
 
 }  // namespace

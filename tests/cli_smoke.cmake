@@ -37,8 +37,20 @@ expect_usage_error("--islands" "${CLI}" --islands banana)
 expect_usage_error("--islands" "${CLI}" --islands 4294967299)
 expect_usage_error("--scale" "${CLI}" --scale x)
 expect_usage_error("scale must be finite" "${CLI}" --scale -1)
-# Taking every island offline (24 by default) would leave no job placeable.
-expect_usage_error("--offline" "${CLI}" --offline 24 --scale 0.01)
+# --offline N must leave a block of every kind the benchmark uses online.
+# On 24 proxy islands every sqrt block, which EKF-SLAM needs, sits on
+# islands 0..8, so 9 is refused (it would never finish), 8 runs, and
+# taking every island offline leaves no kind at all.
+set(ekf_24 --bench EKF-SLAM --islands 24 --net proxy --scale 0.05)
+expect_usage_error("--offline 9 leaves no online sqrt block, which EKF-SLAM"
+  "${CLI}" ${ekf_24} --offline 9)
+expect_usage_error("--offline 24 leaves no online" "${CLI}" ${ekf_24}
+  --offline 24)
+execute_process(COMMAND "${CLI}" ${ekf_24} --offline 8
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "ara_sim --offline 8 failed (${rc}):\n${out}\n${err}")
+endif()
 expect_usage_error("unknown benchmark 'Nonesuch'" "${DSE}" Nonesuch)
 expect_usage_error("--jobs" "${DSE}" --jobs 4294967297)
 # The client checks its flags before it connects: each of these would

@@ -110,7 +110,7 @@ TEST(SystemReport, AggregatesAndPrints) {
   const std::string out = os.str();
   EXPECT_NE(out.find("per-island utilization"), std::string::npos);
   EXPECT_NE(out.find("GAM:"), std::string::npos);
-  EXPECT_NE(out.find("NoC peak link utilization"), std::string::npos);
+  EXPECT_NE(out.find("NoC mesh links"), std::string::npos);
   EXPECT_NE(out.find("binding resource: " +
                      std::string(resource_name(report.binding().resource)) +
                      " at " + Table::pct(report.binding().peak_utilization) +

@@ -38,7 +38,7 @@ std::vector<Finding> analyze_source(const std::string& path,
                                     std::size_t* suppressed = nullptr) {
   Corpus corpus;
   add_source(&corpus, path, content);
-  AnalyzeResult result = analyze(corpus, {});
+  AnalyzeResult result = analyze(corpus);
   if (suppressed != nullptr) *suppressed = result.suppressed;
   return std::move(result.findings);
 }
@@ -125,14 +125,6 @@ TEST(LintFixtures, NakedLockRule) {
                                           {"no-naked-lock", 11},
                                           {"no-naked-lock", 12}};
   EXPECT_EQ(lint_fixture("naked_lock.cc"), expected);
-}
-
-TEST(LintFixtures, DeprecatedApiRule) {
-  const std::vector<RuleLine> expected = {{"no-deprecated-api", 6},
-                                          {"no-deprecated-api", 7},
-                                          {"no-deprecated-api", 8},
-                                          {"no-deprecated-api", 9}};
-  EXPECT_EQ(lint_fixture("deprecated_api.cc"), expected);
 }
 
 TEST(LintFixtures, SuppressedFileIsCleanAndCounted) {
@@ -264,21 +256,20 @@ TEST(LintEngine, RuleCatalogIsSortedAndComplete) {
   }
   EXPECT_EQ(per_file,
             (std::vector<std::string>{
-                "bad-suppression", "layering", "no-deprecated-api",
-                "no-naked-lock", "no-rand", "no-raw-new-delete",
-                "no-unordered-iter", "no-wall-clock"}));
+                "bad-suppression", "layering", "no-naked-lock", "no-rand",
+                "no-raw-new-delete", "no-unordered-iter", "no-wall-clock"}));
 }
 
 TEST(LintEngine, WholeCorpusThroughLintPaths) {
   const AnalyzeResult result =
-      analyze(load_corpus({std::string(ARA_LINT_FIXTURE_DIR)}, {}), {});
-  EXPECT_EQ(result.files_scanned, 16u);
+      analyze(load_corpus({std::string(ARA_LINT_FIXTURE_DIR)}, {}));
+  EXPECT_EQ(result.files_scanned, 15u);
   EXPECT_EQ(result.suppressed, 4u);
   // Sum of every fixture's expected findings above (clock.cc and
   // comment_trap.cc add zero; wall_clock_probe.cc and sampler_probe.cc add
   // one each).
-  EXPECT_EQ(result.findings.size(), 4u + 3u + 2u + 3u + 2u + 1u + 4u + 4u +
-                                        4u + 2u + 1u + 1u);
+  EXPECT_EQ(result.findings.size(),
+            4u + 3u + 2u + 3u + 2u + 1u + 4u + 4u + 2u + 1u + 1u);
   // Deterministic: sorted by path, then line.
   for (std::size_t i = 1; i < result.findings.size(); ++i) {
     const auto& a = result.findings[i - 1];

@@ -72,10 +72,9 @@ TEST(ParallelSweep, RunSweepDelegatesWithIdenticalResults) {
 }
 
 // The deprecated run_point/run_sweep shims (and their migration A/B test)
-// are gone: every caller uses dse::run, and ara_analyze's no-deprecated-api
-// rule fails the analyze gate on any reintroduction of those identifiers.
-// dse::run's own determinism coverage lives in the tests around this
-// comment (serial-vs-parallel, jobs 1/2/8, cached-vs-fresh).
+// are gone: every caller uses dse::run. dse::run's own determinism
+// coverage lives in the tests around this comment (serial-vs-parallel,
+// jobs 1/2/8, cached-vs-fresh).
 TEST(SweepRequestMigration, SingleAddMirrorsRemovedRunPointShape) {
   // What run_point(cfg, wl, &snap) used to return is .front() of a
   // one-element request — keep that shape pinned for downstream scripts.

@@ -170,7 +170,9 @@ TEST(Protocol, ParsesPingStatsAndSweep) {
   EXPECT_EQ(req.points[1].rings, 3u);
   EXPECT_EQ(req.points[1].link_bytes, 16u);
   EXPECT_TRUE(req.points[1].mono);
-  EXPECT_EQ(req.points[1].policy, "sjf");
+  // "policy" is not a point field: the parser ignores it, and the point is
+  // the same design point without it.
+  EXPECT_EQ(req.points[1].to_config().gam_policy, abc::GamPolicy::kFifo);
 }
 
 TEST(Protocol, SweepDefaultsMirrorAraSim) {
@@ -249,7 +251,9 @@ TEST(Protocol, IgnoresRetiredShardsField) {
   // The parsed fields the bodies below set, in one comparable list.
   auto fields = [](const Request& r) {
     std::vector<std::string> out = {r.workload, std::to_string(r.scale)};
-    for (const auto& p : r.points) out.push_back(p.label());
+    for (const auto& p : r.points) {
+      out.push_back(core::canonical_text(p.to_config()));
+    }
     return out;
   };
   const std::string bodies[] = {
@@ -275,15 +279,14 @@ TEST(Protocol, IgnoresRetiredShardsField) {
 }
 
 TEST(Protocol, PointSpecConfigMatchesCliConstruction) {
-  // Mirror of ara_sim `--islands 6 --net chain --ports 2 --sharing --mono
-  // --policy ljf`: same base design, same overrides, same canonical text.
+  // Mirror of ara_sim `--islands 6 --net chain --ports 2 --sharing
+  // --mono`: same base design, same overrides, same canonical text.
   PointSpec spec;
   spec.islands = 6;
   spec.net = "chain";
   spec.ports = 2;
   spec.sharing = true;
   spec.mono = true;
-  spec.policy = "ljf";
 
   core::ArchConfig expected = core::ArchConfig::ring_design(24, 2, 32);
   expected.num_islands = 6;
@@ -291,16 +294,12 @@ TEST(Protocol, PointSpecConfigMatchesCliConstruction) {
   expected.island.spm_port_multiplier = 2;
   expected.island.spm_sharing = true;
   expected.mode = abc::ExecutionMode::kMonolithic;
-  expected.gam_policy = abc::GamPolicy::kLargestFirst;
 
   EXPECT_EQ(core::canonical_text(spec.to_config()),
             core::canonical_text(expected));
 
   PointSpec bad;
   bad.net = "torus";
-  EXPECT_THROW(bad.to_config(), ConfigError);
-  bad = PointSpec{};
-  bad.policy = "lifo";
   EXPECT_THROW(bad.to_config(), ConfigError);
 }
 

@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -25,11 +25,6 @@ const std::vector<RuleInfo> kRules = {
     {"layering",
      "#include crosses a layer boundary not in the dependency allowlist",
      true},
-    {"lock-order",
-     "the global mutex acquisition-order graph contains a cycle (potential "
-     "static deadlock)"},
-    {"no-deprecated-api",
-     "references a removed API (run_point/run_sweep); use dse::run", true},
     {"no-naked-lock",
      "direct mutex .lock()/.unlock(); RAII guards (common::MutexLock) only",
      true},
@@ -44,14 +39,6 @@ const std::vector<RuleInfo> kRules = {
     {"no-wall-clock",
      "host wall-clock read in simulator code outside the obs clock seam",
      true},
-    {"proto-unparsed",
-     "a JSON field a client/label site exposes that the serve protocol "
-     "never produces or parses back"},
-    {"proto-unproduced",
-     "a JSON request field the serve protocol parses that no in-repo "
-     "producer (client request builder, PointSpec label) ever emits"},
-    {"stale-baseline",
-     "a baseline entry matches no current finding; delete it"},
     {"stat-grammar",
      "a StatRegistry registration literal violates the "
      "<subsystem>.<id>.<stat> grammar"},
@@ -396,8 +383,8 @@ bool path_ends_with(const std::string& path,
 }
 
 /// Path suffix starting at the last src/tools/bench/examples component —
-/// identical for a real checkout and a fixture tree, so baseline keys and
-/// finding messages never embed absolute paths.
+/// identical for a real checkout and a fixture tree, so finding keys and
+/// messages never embed absolute paths.
 std::string rel_key(const std::string& path) {
   static const std::set<std::string> roots = {"src", "tools", "bench",
                                               "examples"};
@@ -489,8 +476,8 @@ bool per_file_rule(const std::string& id) {
   return false;
 }
 
-/// Appends a per-file finding for 0-based line `li`. It carries no
-/// baseline key: only an allow() comment can silence it.
+/// Appends a per-file finding for 0-based line `li`. It carries no key:
+/// only an allow() comment can silence it.
 void report(const SourceFile& f, std::size_t li, const char* rule,
             std::string message, std::vector<Finding>* out) {
   out->push_back(
@@ -709,18 +696,6 @@ void rule_no_naked_lock(const SourceFile& f, std::vector<Finding>* out) {
   }
 }
 
-void rule_no_deprecated_api(const SourceFile& f, std::vector<Finding>* out) {
-  for (const char* word : {"run_point", "run_sweep"}) {
-    for_each_word(f.lexed.view.code, word, [&](std::size_t li, std::size_t) {
-      report(f, li, "no-deprecated-api",
-             std::string("'") + word +
-                 "' was removed in favour of dse::run(SweepRequest) — see "
-                 "DESIGN.md \"SweepRequest migration\"",
-             out);
-    });
-  }
-}
-
 /// Rule ids allowed on raw line `li` by allow() markers — e.g.
 /// "// ara-lint: allow(no-rand, layering)". An id that names no per-file
 /// rule is reported through `out` as a bad-suppression finding.
@@ -775,7 +750,6 @@ void check_file(const SourceFile& f, std::vector<Finding>* out,
   }
   rule_no_raw_new_delete(f, &found);
   rule_no_naked_lock(f, &found);
-  rule_no_deprecated_api(f, &found);
 
   const SourceView& v = f.lexed.view;
   std::vector<std::set<std::string>> allow(v.raw.size());
@@ -1023,227 +997,6 @@ void analyze_includes(const Corpus& corpus, std::vector<Finding>* out) {
   }
 }
 
-// --------------------------------------------------- lock-order analysis
-
-namespace {
-
-struct LockEdge {
-  std::string file;
-  int line = 0;
-};
-
-bool guard_type(const std::string& ident) {
-  return ident == "MutexLock" || ident == "lock_guard" ||
-         ident == "unique_lock" || ident == "scoped_lock";
-}
-
-const std::set<std::string>& control_keywords() {
-  static const std::set<std::string> kw = {
-      "if",     "for",    "while",    "switch",        "catch",
-      "return", "sizeof", "alignof",  "decltype",      "static_assert",
-      "new",    "delete", "noexcept", "static_cast",   "dynamic_cast",
-      "assert", "throw",  "co_await", "reinterpret_cast"};
-  return kw;
-}
-
-std::string file_stem(const std::string& path) {
-  const auto parts = split_path(path);
-  std::string stem = parts.empty() ? path : parts.back();
-  const std::size_t dot = stem.find_last_of('.');
-  if (dot != std::string::npos) stem = stem.substr(0, dot);
-  return stem;
-}
-
-}  // namespace
-
-void analyze_lock_order(const Corpus& corpus, std::vector<Finding>* out) {
-  // mutex-key -> mutex-key -> first acquisition site producing that edge.
-  std::map<std::string, std::map<std::string, LockEdge>> edges;
-
-  for (const SourceFile& f : corpus.files) {
-    const std::vector<Token>& toks = f.lexed.tokens;
-    const std::string stem = file_stem(f.path);
-
-    int depth = 0;
-    bool in_fn = false;
-    int fn_entry = 0;
-    std::string fn_class;
-    bool pending_fn = false;
-    std::string pending_class;
-    struct Guard {
-      std::string key;
-      int depth;
-    };
-    std::vector<Guard> held;
-
-    auto is_punct = [&](std::size_t i, const char* p) {
-      return i < toks.size() && toks[i].kind == Token::Kind::kPunct &&
-             toks[i].text == p;
-    };
-    auto is_ident = [&](std::size_t i) {
-      return i < toks.size() && toks[i].kind == Token::Kind::kIdent;
-    };
-
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-      const Token& t = toks[i];
-      if (t.kind == Token::Kind::kPunct) {
-        if (t.text == "{") {
-          ++depth;
-          if (pending_fn) {
-            in_fn = true;
-            fn_entry = depth;
-            fn_class = pending_class;
-            pending_fn = false;
-            held.clear();
-          }
-        } else if (t.text == "}") {
-          --depth;
-          while (!held.empty() && held.back().depth > depth) held.pop_back();
-          if (in_fn && depth < fn_entry) {
-            in_fn = false;
-            held.clear();
-          }
-        } else if (t.text == ";" && pending_fn) {
-          pending_fn = false;  // declaration, not a definition
-        }
-        continue;
-      }
-
-      // Function-definition heuristic: <Class>::<name>(...) followed
-      // (after trailing qualifiers / member initializers) by '{'.
-      if (!in_fn && !pending_fn && is_ident(i) && is_punct(i + 1, "(") &&
-          control_keywords().count(t.text) == 0) {
-        std::string cls;
-        if (i >= 2 && is_punct(i - 1, "::") && is_ident(i - 2)) {
-          cls = toks[i - 2].text;
-        }
-        // Skip the parameter list.
-        std::size_t j = i + 1;
-        int pdepth = 0;
-        for (; j < toks.size(); ++j) {
-          if (toks[j].kind != Token::Kind::kPunct) continue;
-          if (toks[j].text == "(") ++pdepth;
-          if (toks[j].text == ")" && --pdepth == 0) break;
-        }
-        pending_fn = j < toks.size();
-        pending_class = cls.empty() ? stem : cls;
-        // pending_fn is confirmed by the next '{' and cancelled by ';'.
-        continue;
-      }
-
-      // Guard acquisition: [common:: / std::] <GuardType> [<...>]
-      // [name] ( expr [, expr]* )
-      if (in_fn && t.kind == Token::Kind::kIdent && guard_type(t.text)) {
-        std::size_t j = i + 1;
-        if (is_punct(j, "<")) {  // lock_guard<std::mutex> ...
-          int adepth = 0;
-          for (; j < toks.size(); ++j) {
-            if (toks[j].kind != Token::Kind::kPunct) continue;
-            if (toks[j].text == "<") ++adepth;
-            if (toks[j].text == ">" && --adepth == 0) {
-              ++j;
-              break;
-            }
-          }
-        }
-        if (is_ident(j)) ++j;  // the guard variable name (absent: temporary)
-        if (!is_punct(j, "(")) continue;
-        // Collect the top-level comma-separated argument expressions and
-        // take the last identifier of each as the mutex name.
-        std::vector<std::string> mutexes;
-        std::string last_ident;
-        int adepth = 1;
-        int site_line = toks[j].line;
-        for (++j; j < toks.size() && adepth > 0; ++j) {
-          const Token& a = toks[j];
-          if (a.kind == Token::Kind::kPunct) {
-            if (a.text == "(" || a.text == "[" || a.text == "{") ++adepth;
-            if (a.text == ")" || a.text == "]" || a.text == "}") --adepth;
-            if ((a.text == "," && adepth == 1) || adepth == 0) {
-              if (!last_ident.empty()) mutexes.push_back(last_ident);
-              last_ident.clear();
-            }
-          } else if (a.kind == Token::Kind::kIdent) {
-            last_ident = a.text;
-          }
-        }
-        for (const std::string& name : mutexes) {
-          const std::string key = fn_class + "::" + name;
-          for (const Guard& h : held) {
-            if (h.key == key) continue;
-            auto& slot = edges[h.key][key];
-            if (slot.file.empty()) slot = {f.path, site_line};
-          }
-          held.push_back({key, depth});
-        }
-      }
-    }
-  }
-
-  // Cycle detection over the acquisition-order graph (DFS, since the
-  // graph is keyed by strings and tiny).
-  std::vector<std::string> nodes;
-  for (const auto& [from, tos] : edges) {
-    nodes.push_back(from);
-    for (const auto& [to, site] : tos) {
-      (void)site;
-      nodes.push_back(to);
-    }
-  }
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-
-  std::set<std::string> reported;
-  std::function<bool(const std::string&, std::vector<std::string>*)> dfs =
-      [&](const std::string& node, std::vector<std::string>* path) -> bool {
-    const auto cyc =
-        std::find(path->begin(), path->end(), node);
-    if (cyc != path->end()) {
-      // Canonicalize: rotate so the smallest key leads, dedupe.
-      std::vector<std::string> cycle(cyc, path->end());
-      const auto smallest = std::min_element(cycle.begin(), cycle.end());
-      std::rotate(cycle.begin(), smallest, cycle.end());
-      std::string joined;
-      for (const auto& n : cycle) {
-        if (!joined.empty()) joined += " -> ";
-        joined += n;
-      }
-      joined += " -> " + cycle.front();
-      if (reported.insert(joined).second) {
-        const LockEdge& site = edges[cycle.front()].begin()->second;
-        std::string sites;
-        for (std::size_t k = 0; k < cycle.size(); ++k) {
-          const std::string& a = cycle[k];
-          const std::string& b = cycle[(k + 1) % cycle.size()];
-          const LockEdge& e = edges[a][b];
-          sites += "\n    " + a + " held while taking " + b + " at " +
-                   rel_key(e.file) + ":" + std::to_string(e.line);
-        }
-        out->push_back(
-            {site.file, site.line, "lock-order", "lock-order:" + joined,
-             "potential deadlock: mutex acquisition order forms a cycle " +
-                 joined + sites +
-                 "\n  pick one global order and acquire in it everywhere"});
-      }
-      return true;
-    }
-    path->push_back(node);
-    const auto it = edges.find(node);
-    if (it != edges.end()) {
-      for (const auto& [to, site] : it->second) {
-        (void)site;
-        dfs(to, path);
-      }
-    }
-    path->pop_back();
-    return false;
-  };
-  for (const auto& n : nodes) {
-    std::vector<std::string> path;
-    dfs(n, &path);
-  }
-}
-
 // --------------------------------------------------------- stat analysis
 
 namespace {
@@ -1486,148 +1239,6 @@ void analyze_stats(const Corpus& corpus, std::vector<Finding>* out) {
   }
 }
 
-// ----------------------------------------------------- protocol analysis
-
-namespace {
-
-struct ProtoSite {
-  const SourceFile* file = nullptr;
-  /// key -> first line it appears on
-  std::map<std::string, int> parsed;    // take_*/find("key") call sites
-  std::map<std::string, int> produced;  // "key": inside built JSON text
-};
-
-const std::regex& json_key_regex() {
-  static const std::regex re(R"re("([A-Za-z_][A-Za-z0-9_]*)"\s*:)re");
-  return re;
-}
-
-ProtoSite harvest_proto(const SourceFile& f, bool label_keys) {
-  ProtoSite site;
-  site.file = &f;
-  const std::vector<Token>& toks = f.lexed.tokens;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind == Token::Kind::kIdent &&
-        (t.text == "find" || t.text.rfind("take_", 0) == 0) &&
-        i + 1 < toks.size() && toks[i + 1].kind == Token::Kind::kPunct &&
-        toks[i + 1].text == "(") {
-      // First string literal inside the call is the field name.
-      int depth = 1;
-      for (std::size_t j = i + 2; j < toks.size() && depth > 0; ++j) {
-        const Token& a = toks[j];
-        if (a.kind == Token::Kind::kPunct) {
-          if (a.text == "(") ++depth;
-          if (a.text == ")") --depth;
-        } else if (a.kind == Token::Kind::kString) {
-          if (site.parsed.find(a.text) == site.parsed.end()) {
-            site.parsed[a.text] = a.line;
-          }
-          break;
-        }
-      }
-    }
-    if (t.kind == Token::Kind::kString) {
-      for (std::sregex_iterator it(t.text.begin(), t.text.end(),
-                                   json_key_regex()),
-           end;
-           it != end; ++it) {
-        const std::string key = (*it)[1].str();
-        if (site.produced.find(key) == site.produced.end()) {
-          site.produced[key] = t.line;
-        }
-      }
-      if (label_keys) {
-        // PointSpec::label() writes "islands=..,net=.." — every key= is a
-        // produced point field.
-        static const std::regex kLabel(R"(([a-z_][a-z0-9_]*)=)");
-        for (std::sregex_iterator it(t.text.begin(), t.text.end(), kLabel),
-             end;
-             it != end; ++it) {
-          const std::string key = (*it)[1].str();
-          if (site.produced.find(key) == site.produced.end()) {
-            site.produced[key] = t.line;
-          }
-        }
-      }
-    }
-  }
-  return site;
-}
-
-}  // namespace
-
-void analyze_protocol(const Corpus& corpus, std::vector<Finding>* out) {
-  const SourceFile* protocol = nullptr;
-  const SourceFile* client = nullptr;
-  const SourceFile* spec = nullptr;
-  for (const SourceFile& f : corpus.files) {
-    if (path_ends_with(f.path, {"src", "serve", "protocol.cc"})) {
-      protocol = &f;
-    } else if (path_ends_with(f.path, {"tools", "ara_serve_client.cc"})) {
-      client = &f;
-    } else if (path_ends_with(f.path, {"src", "dse", "spec.cc"})) {
-      spec = &f;
-    }
-  }
-  // The drift check needs both ends of the wire; partial corpora (unit
-  // tests over one subtree) stay silent rather than reporting the absent
-  // half as drift.
-  if (protocol == nullptr || client == nullptr) return;
-
-  const ProtoSite server_site = harvest_proto(*protocol, false);
-  const ProtoSite client_site = harvest_proto(*client, false);
-  ProtoSite spec_site;
-  if (spec != nullptr) spec_site = harvest_proto(*spec, true);
-
-  // 1. Request fields the server parses must be producible by an in-repo
-  // producer: the client's request builders or the PointSpec label
-  // surface.
-  std::set<std::string> producers;
-  for (const auto& [k, l] : client_site.produced) {
-    (void)l;
-    producers.insert(k);
-  }
-  for (const auto& [k, l] : spec_site.produced) {
-    (void)l;
-    producers.insert(k);
-  }
-  for (const auto& [key, line] : server_site.parsed) {
-    if (producers.count(key) != 0) continue;
-    out->push_back(
-        {protocol->path, line, "proto-unproduced", "proto-unproduced:" + key,
-         "protocol field \"" + key +
-             "\" is parsed here but never produced by " +
-             rel_key(client->path) + " or " +
-             (spec != nullptr ? rel_key(spec->path)
-                              : std::string("the PointSpec label surface")) +
-             "; wire it through the client (or baseline it with a reason)"});
-  }
-
-  // 2. Response fields the client reads must be produced by the server.
-  for (const auto& [key, line] : client_site.parsed) {
-    if (server_site.produced.count(key) != 0) continue;
-    out->push_back(
-        {client->path, line, "proto-unparsed", "proto-unparsed:" + key,
-         "client reads response field \"" + key + "\" that " +
-             rel_key(protocol->path) +
-             " never produces; fix whichever side drifted (or baseline it "
-             "with a reason)"});
-  }
-
-  // 3. Every point field the label surface exposes must be parseable.
-  if (spec != nullptr) {
-    for (const auto& [key, line] : spec_site.produced) {
-      if (server_site.parsed.count(key) != 0) continue;
-      out->push_back(
-          {spec->path, line, "proto-unparsed", "proto-unparsed:" + key,
-           "PointSpec label field \"" + key + "\" has no parser in " +
-               rel_key(protocol->path) +
-               "; requests cannot express this dimension"});
-    }
-  }
-}
-
 // ------------------------------------------------------------- plumbing
 
 namespace {
@@ -1663,66 +1274,16 @@ void json_escape(std::string* out, const std::string& s) {
 
 const std::vector<RuleInfo>& rules() { return kRules; }
 
-std::set<std::string> parse_baseline(const std::string& content) {
-  std::set<std::string> out;
-  std::istringstream in(content);
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    while (!line.empty() &&
-           std::isspace(static_cast<unsigned char>(line.back()))) {
-      line.pop_back();
-    }
-    std::size_t start = 0;
-    while (start < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[start]))) {
-      ++start;
-    }
-    line = line.substr(start);
-    if (!line.empty()) out.insert(line);
-  }
-  return out;
-}
-
-AnalyzeResult analyze(const Corpus& corpus,
-                      const std::set<std::string>& baseline,
-                      const std::string& baseline_path) {
+AnalyzeResult analyze(const Corpus& corpus) {
   AnalyzeResult result;
   result.files_scanned = corpus.files.size();
   result.docs_scanned = corpus.docs.size();
 
-  // Per-file findings answer to allow() comments only; they skip the
-  // baseline below.
   for (const SourceFile& f : corpus.files) {
     check_file(f, &result.findings, &result.suppressed);
   }
-
-  std::vector<Finding> raw;
-  analyze_includes(corpus, &raw);
-  analyze_lock_order(corpus, &raw);
-  analyze_stats(corpus, &raw);
-  analyze_protocol(corpus, &raw);
-
-  std::set<std::string> used;
-  for (Finding& f : raw) {
-    if (baseline.count(f.key) != 0) {
-      used.insert(f.key);
-      ++result.baselined;
-    } else {
-      result.findings.push_back(std::move(f));
-    }
-  }
-  // Baseline entries matching nothing are themselves findings (the
-  // bad-suppression analog): stale entries can't rot silently.
-  for (const std::string& key : baseline) {
-    if (used.count(key) != 0) continue;
-    result.findings.push_back(
-        {baseline_path.empty() ? "<baseline>" : baseline_path, 1,
-         "stale-baseline", "stale-baseline:" + key,
-         "baseline entry '" + key +
-             "' matches no current finding; delete it"});
-  }
+  analyze_includes(corpus, &result.findings);
+  analyze_stats(corpus, &result.findings);
 
   std::sort(result.findings.begin(), result.findings.end(),
             [](const Finding& a, const Finding& b) {
@@ -1740,12 +1301,10 @@ std::string to_text(const AnalyzeResult& result) {
   for (const auto& f : result.findings) {
     out += f.file + ":" + std::to_string(f.line) + ": " + f.rule + ": " +
            f.message + "\n";
-    if (!f.key.empty()) out += "  baseline key: " + f.key + "\n";
   }
   out += "ara_analyze: " + std::to_string(result.findings.size()) +
          " finding(s) in " + std::to_string(result.files_scanned) +
          " file(s) + " + std::to_string(result.docs_scanned) + " doc(s), " +
-         std::to_string(result.baselined) + " baselined, " +
          std::to_string(result.suppressed) + " suppressed\n";
   return out;
 }
@@ -1768,22 +1327,7 @@ std::string to_json(const AnalyzeResult& result) {
   }
   out += "],\"files_scanned\":" + std::to_string(result.files_scanned) +
          ",\"docs_scanned\":" + std::to_string(result.docs_scanned) +
-         ",\"baselined\":" + std::to_string(result.baselined) +
          ",\"suppressed\":" + std::to_string(result.suppressed) + "}\n";
-  return out;
-}
-
-std::string to_baseline(const AnalyzeResult& result) {
-  std::set<std::string> keys;
-  for (const auto& f : result.findings) {
-    if (!f.key.empty() && f.rule != "stale-baseline") keys.insert(f.key);
-  }
-  std::string out =
-      "# ara_analyze baseline — one finding key per line, '#' comments.\n"
-      "# Every entry needs a comment saying WHY it is sanctioned; stale\n"
-      "# entries are themselves findings (stale-baseline), so this file\n"
-      "# can only shrink unless a new exemption is deliberately added.\n";
-  for (const auto& k : keys) out += k + "\n";
   return out;
 }
 

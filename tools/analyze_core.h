@@ -10,7 +10,6 @@
 //   bad-suppression      an allow() comment names an unknown per-file rule
 //   layering             a direct #include leaves the layer dependency
 //                        allowlist
-//   no-deprecated-api    a removed API (run_point/run_sweep) is named
 //   no-naked-lock        a direct mutex .lock()/.unlock() call
 //   no-rand              host or non-portable randomness in src/
 //   no-raw-new-delete    raw new/delete instead of RAII/containers
@@ -33,27 +32,14 @@
 //                        legal to the per-file layering rule (e.g. a sim/
 //                        file reaching serve/ through an unlayered tools/
 //                        header)
-//   lock-order           the global mutex acquisition-order graph
-//                        (common::MutexLock sites, grouped per enclosing
-//                        function/class) contains a cycle — a potential
-//                        static deadlock
 //   stat-grammar         a StatRegistry registration literal violates the
 //                        <subsystem>.<id>.<stat> grammar
 //   stat-undocumented    a stat name is emitted by src/ but never appears
 //                        in the documentation set (DESIGN.md / README.md)
 //   stat-phantom         the documentation names a stat that nothing in
 //                        src/ emits (doc drift)
-//   proto-unproduced     a JSON request field the serve protocol parses
-//                        is never produced by the in-repo client or the
-//                        PointSpec label surface
-//   proto-unparsed       a JSON field a client/label site exposes that
-//                        the protocol never produces/parses back
-//   stale-baseline       a baseline entry no longer matches any finding
-//                        (never baselinable itself, so baselines can't rot)
 //
-// A cross-file finding carries a stable key and is silenced only by the
-// baseline file; a per-file finding carries no key, so no baseline can
-// silence it.
+// Nothing silences a cross-file finding: it is fixed, not exempted.
 //
 // The engine is deliberately dependency-free (no libclang, no link
 // against the simulator library) so it builds and runs even while the
@@ -65,7 +51,6 @@
 #pragma once
 
 #include <cstddef>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -142,10 +127,10 @@ struct Finding {
   std::string file;
   int line = 0;
   std::string rule;
-  /// Stable baseline key of a cross-file finding: rule + canonical
-  /// detail, no line numbers and no absolute paths, so a checked-in
-  /// baseline survives both line churn and checkout location. Empty for
-  /// a per-file finding, which only an allow() comment can silence.
+  /// Stable identity of a cross-file finding: rule + canonical detail, no
+  /// line numbers and no absolute paths, so it compares across line churn
+  /// and checkout locations (--json carries it). Empty for a per-file
+  /// finding.
   std::string key;
   std::string message;
 };
@@ -154,7 +139,7 @@ struct RuleInfo {
   std::string id;
   std::string summary;
   /// A per-file rule: an allow() comment may name it, and its findings
-  /// carry no baseline key.
+  /// carry no key.
   bool per_file = false;
 };
 
@@ -165,29 +150,17 @@ struct AnalyzeResult {
   std::vector<Finding> findings;  // unsilenced, file/line ordered
   std::size_t files_scanned = 0;
   std::size_t docs_scanned = 0;
-  std::size_t baselined = 0;   // cross-file findings the baseline silenced
   std::size_t suppressed = 0;  // per-file findings allow() silenced
 };
 
-// The four cross-file analyses, individually callable (tests exercise
-// them in isolation); analyze() runs them all next to the per-file rules.
+// The two cross-file analyses, individually callable (tests exercise them
+// in isolation); analyze() runs both next to the per-file rules.
 void analyze_includes(const Corpus& corpus, std::vector<Finding>* out);
-void analyze_lock_order(const Corpus& corpus, std::vector<Finding>* out);
 void analyze_stats(const Corpus& corpus, std::vector<Finding>* out);
-void analyze_protocol(const Corpus& corpus, std::vector<Finding>* out);
-
-/// Parse a baseline file: one key per line, '#' comments, blank lines
-/// ignored.
-std::set<std::string> parse_baseline(const std::string& content);
 
 /// Run the per-file rules over every file and every cross-file analysis.
-/// Per-file findings under an allow() comment are counted as suppressed;
-/// cross-file findings whose key is baselined are counted as baselined,
-/// and baseline entries matching nothing become stale-baseline findings
-/// (anchored at `baseline_path`).
-AnalyzeResult analyze(const Corpus& corpus,
-                      const std::set<std::string>& baseline,
-                      const std::string& baseline_path = "");
+/// Per-file findings under an allow() comment are counted as suppressed.
+AnalyzeResult analyze(const Corpus& corpus);
 
 /// "file:line: rule: message" per finding + a one-line summary.
 std::string to_text(const AnalyzeResult& result);
@@ -195,9 +168,5 @@ std::string to_text(const AnalyzeResult& result);
 /// Machine-readable findings (strict RFC 8259; tests validate through
 /// obs::validate_json).
 std::string to_json(const AnalyzeResult& result);
-
-/// Baseline-file body for --write-baseline: every cross-file finding's
-/// key, sorted and deduplicated, under a header comment.
-std::string to_baseline(const AnalyzeResult& result);
 
 }  // namespace ara::analyze
